@@ -290,8 +290,6 @@ inline void plan_fields(JsonObject& row, const std::string& prefix,
                         const streams::ExecutionPlan& p) {
   row.field(prefix + "terminal", streams::terminal_name(p.terminal))
       .field(prefix + "origin", streams::origin_name(p.origin))
-      .field(prefix + "fused", static_cast<std::uint64_t>(p.fused ? 1 : 0))
-      .field(prefix + "fusion_reason", streams::reason_name(p.fusion_reason))
       .field(prefix + "dps", static_cast<std::uint64_t>(p.dps ? 1 : 0))
       .field(prefix + "dps_reason", streams::reason_name(p.dps_reason))
       .field(prefix + "drive", streams::drive_name(p.drive))

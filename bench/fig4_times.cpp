@@ -9,19 +9,19 @@
 //   par_wall_ms  parallel evaluation wall clock on this host (P threads
 //                over 1 cpu — included for honesty, expect ~= seq_ms);
 //   map_chain_*  a 4-stage map pipeline over the same coefficients,
-//                sequential, run fused (push-mode sink chain, the
-//                default), legacy (with_fusion(false), the pull-based
-//                wrapper walk), and static (the same four maps composed
-//                at compile time via Stream::stages(), one inlined loop
-//                per chunk) — the trio the perf-smoke gate watches
+//                sequential: fused (push-mode sink chain over the array
+//                source), concat (the same maps over Stream::concat of
+//                the two coefficient halves — the concat is the fused
+//                pipeline's source and forwards its halves' contiguous
+//                chunks), and static (the same four maps composed at
+//                compile time via Stream::stages(), one inlined loop per
+//                chunk) — the trio the perf-smoke gate watches
 //                (docs/execution.md, "pipeline fusion" and "static
 //                fusion & SIMD chunk kernels");
-//   flat_map_*   a fan-out-4 flat_map feeding two map stages and a sum,
-//                fused (multi-accept FlatMapSink batching expansions into
-//                the chunk protocol) vs legacy (the buffering wrapper
-//                walk, one virtual try_advance per produced element) —
-//                the expansion allocation is identical on both routes,
-//                so the delta is pure transport;
+//   flat_map_fused
+//                a fan-out-8 flat_map feeding four map stages and a sum
+//                (multi-accept FlatMapSink batching expansions into the
+//                chunk protocol);
 //   horner_*     the Horner chunk kernel itself over the coefficient
 //                array, blocked/SIMD vs scalar — isolates the kernel
 //                speedup from stream transport.
@@ -71,20 +71,33 @@ std::shared_ptr<const std::vector<double>> make_coefficients(std::size_t n) {
   return std::make_shared<const std::vector<double>>(std::move(c));
 }
 
-// The fusion workload: four map stages over the shared coefficient
-// array, reduced to a sum. Per element the legacy walk pays one virtual
-// try_advance per wrapper; the fused chain pays one accept_chunk per
-// stage per batch with the per-element loops inlined — the delta is
-// exactly the transport cost the sink engine removes.
-double run_map_chain(const std::shared_ptr<const std::vector<double>>& coeffs,
-                     bool fusion) {
-  return pls::streams::Stream<double>::of_shared(coeffs)
-      .with_fusion(fusion)
+// The fusion workload: four map stages over a stream, reduced to a sum.
+// The fused chain pays one accept_chunk per stage per batch with the
+// per-element loops inlined.
+double map_chain(pls::streams::Stream<double> s) {
+  return std::move(s)
       .map([](const double& v) { return v * 1.0000001; })
       .map([](const double& v) { return v + 0.25; })
       .map([](const double& v) { return v * v; })
       .map([](const double& v) { return v - 0.125; })
       .reduce(0.0, [](double a, double b) { return a + b; });
+}
+
+double run_map_chain(
+    const std::shared_ptr<const std::vector<double>>& coeffs) {
+  return map_chain(pls::streams::Stream<double>::of_shared(coeffs));
+}
+
+// The same chain over Stream::concat of the two coefficient halves: the
+// concat becomes the fused pipeline's source, and forwards each half's
+// storage as contiguous chunks.
+double run_map_chain_concat(
+    const std::shared_ptr<const std::vector<double>>& lo,
+    const std::shared_ptr<const std::vector<double>>& hi) {
+  using pls::streams::Stream;
+  return map_chain(
+      Stream<double>::concat(Stream<double>::of_shared(lo),
+                             Stream<double>::of_shared(hi)));
 }
 
 // The same four maps as a compile-time composed stage stack: the chain
@@ -102,16 +115,14 @@ double run_map_chain_static(
       .reduce(0.0, [](double a, double b) { return a + b; });
 }
 
-// The widened-fusion workload: a fan-out-8 flat_map into three map
-// stages, reduced to a sum. Each input element allocates the same
-// 8-element expansion on both routes; legacy then pays one virtual
-// try_advance per produced element through four wrappers, while the
-// fused chain batches whole expansions into accept_chunk — the wider the
-// fan, the more transported elements each (shared) allocation amortises.
+// The widened-fusion workload: a fan-out-8 flat_map into four map
+// stages, reduced to a sum. Each input element allocates an 8-element
+// expansion; the fused chain batches whole expansions into accept_chunk
+// — the wider the fan, the more transported elements each allocation
+// amortises.
 double run_flat_map_chain(
-    const std::shared_ptr<const std::vector<double>>& coeffs, bool fusion) {
+    const std::shared_ptr<const std::vector<double>>& coeffs) {
   return pls::streams::Stream<double>::of_shared(coeffs)
-      .with_fusion(fusion)
       .flat_map([](const double& v) {
         return std::vector<double>{v,          v * 0.5,   v + 0.25,
                                    v * v,      v - 0.125, v * 2.0,
@@ -165,15 +176,18 @@ int main(int argc, char** argv) {
   pls::forkjoin::ForkJoinPool one_worker(1);
   pls::TextTable table({"log2(n)", "n", "seq_ms", "seq_rsd", "par1_ms",
                         "par_sim_ms", "par_wall_ms", "par_wall_rsd",
-                        "mc_fused_ms", "mc_legacy_ms", "mc_static_ms",
-                        "fm_fused_ms", "fm_legacy_ms",
-                        "horner_simd", "horner_scal"});
+                        "mc_fused_ms", "mc_concat_ms", "mc_static_ms",
+                        "fm_fused_ms", "horner_simd", "horner_scal"});
 
   std::vector<std::string> json_rows;
 
   for (unsigned lg = min_log2; lg <= max_log2; ++lg) {
     const std::size_t n = std::size_t{1} << lg;
     const auto coeffs = make_coefficients(n);
+    const auto lo = std::make_shared<const std::vector<double>>(
+        coeffs->begin(), coeffs->begin() + static_cast<std::ptrdiff_t>(n / 2));
+    const auto hi = std::make_shared<const std::vector<double>>(
+        coeffs->begin() + static_cast<std::ptrdiff_t>(n / 2), coeffs->end());
 
     const auto seq = pls::bench::time_ms(
         [&] {
@@ -205,15 +219,13 @@ int main(int argc, char** argv) {
         reps);
 
     const auto mc_fused = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_map_chain(coeffs, true)); }, reps);
-    const auto mc_legacy = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_map_chain(coeffs, false)); }, reps);
+        [&] { pls::bench::keep(run_map_chain(coeffs)); }, reps);
+    const auto mc_concat = pls::bench::time_ms(
+        [&] { pls::bench::keep(run_map_chain_concat(lo, hi)); }, reps);
     const auto mc_static = pls::bench::time_ms(
         [&] { pls::bench::keep(run_map_chain_static(coeffs)); }, reps);
     const auto fm_fused = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_flat_map_chain(coeffs, true)); }, reps);
-    const auto fm_legacy = pls::bench::time_ms(
-        [&] { pls::bench::keep(run_flat_map_chain(coeffs, false)); }, reps);
+        [&] { pls::bench::keep(run_flat_map_chain(coeffs)); }, reps);
 
     // Kernel-level Horner: blocked/SIMD vs scalar over the raw array, no
     // stream transport — the pair behind the simd_kernels toggle of
@@ -258,10 +270,9 @@ int main(int argc, char** argv) {
                    pls::TextTable::num(par_wall.mean),
                    pls::TextTable::num(par_wall.rel_stddev(), 3),
                    pls::TextTable::num(mc_fused.mean),
-                   pls::TextTable::num(mc_legacy.mean),
+                   pls::TextTable::num(mc_concat.mean),
                    pls::TextTable::num(mc_static.mean),
                    pls::TextTable::num(fm_fused.mean),
-                   pls::TextTable::num(fm_legacy.mean),
                    pls::TextTable::num(h_simd.mean),
                    pls::TextTable::num(h_scalar.mean)});
 
@@ -271,10 +282,9 @@ int main(int argc, char** argv) {
     pls::bench::stats_fields(row, "par1_", par1);
     pls::bench::stats_fields(row, "par_wall_", par_wall);
     pls::bench::stats_fields(row, "map_chain_fused_", mc_fused);
-    pls::bench::stats_fields(row, "map_chain_legacy_", mc_legacy);
+    pls::bench::stats_fields(row, "map_chain_concat_", mc_concat);
     pls::bench::stats_fields(row, "map_chain_static_", mc_static);
     pls::bench::stats_fields(row, "flat_map_fused_", fm_fused);
-    pls::bench::stats_fields(row, "flat_map_legacy_", fm_legacy);
     pls::bench::stats_fields(row, "horner_simd_", h_simd);
     pls::bench::stats_fields(row, "horner_scalar_", h_scalar);
     row.field("par_sim_ms", sim.makespan_ns / 1e6)

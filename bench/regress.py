@@ -89,7 +89,7 @@ def compare_docs(baseline, current, warn_pct, fail_pct, metrics=None,
             if m.startswith("metrics_"):
                 continue
             # Schema-2 rows carry non-numeric plan_* fields (plan_drive,
-            # plan_fusion_reason, ...); comparison only makes sense for
+            # plan_dps_reason, ...); comparison only makes sense for
             # numbers, so skip anything else even when named by --metrics.
             if not all(isinstance(v, (int, float)) and
                        not isinstance(v, bool)

@@ -24,9 +24,10 @@
 //   allocations           result-container acquisitions (collector supply
 //                         calls, sized-sink buffers, combiner scratch
 //                         growth)
-//   fused_leaves          leaf chunks evaluated by the push-mode fusion
-//                         engine (docs/execution.md); leaf_chunks -
-//                         fused_leaves is the legacy wrapper-walk count
+//   fused_leaves          leaf chunks of stream pipelines, all driven by
+//                         the push-mode fusion engine (docs/execution.md);
+//                         leaf_chunks - fused_leaves counts the skeleton
+//                         and multiway leaves
 //
 // With PLS_OBSERVE=0 every type collapses to an empty shell and every
 // member function to a no-op; call sites compile to nothing.

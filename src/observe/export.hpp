@@ -164,8 +164,6 @@ inline std::string run_record_json(const RunRecord& r) {
      << ",\"parallel\":" << (r.parallel ? "true" : "false")
      << ",\"parallelism\":" << r.parallelism
      << ",\"source_size\":" << r.source_size
-     << ",\"fused\":" << (r.fused ? "true" : "false")
-     << ",\"fusion_reason\":" << detail::json_escape(r.fusion_reason)
      << ",\"dps\":" << (r.dps ? "true" : "false")
      << ",\"dps_reason\":" << detail::json_escape(r.dps_reason)
      << ",\"drive\":" << detail::json_escape(r.drive)

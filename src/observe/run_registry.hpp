@@ -2,7 +2,7 @@
 //
 // Every executed terminal (streams evaluate/evaluate_fused, the PowerList
 // reported/profiled executors) appends one RunRecord: the plan identity
-// (cache_key plus the fusion/DPS/drive verdicts rendered as strings), the
+// (cache_key plus the DPS/drive verdicts rendered as strings), the
 // grain and where it came from, the process-wide counter delta across the
 // run, wall time, and the per-run leaf-latency p50/p90. The registry is the
 // queryable history the ROADMAP item-5 tuner and future overload control
@@ -46,10 +46,8 @@ struct RunRecord {
   std::string drive;
   std::string grain_source;
   std::string kernel;
-  std::string fusion_reason;
   std::string dps_reason;
   bool parallel = false;
-  bool fused = false;
   bool dps = false;
   std::uint32_t parallelism = 0;
   std::uint64_t source_size = 0;

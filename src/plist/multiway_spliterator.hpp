@@ -162,13 +162,55 @@ class NZipSpliterator final : public detail::StridedMultiwayBase<T> {
 
 namespace detail {
 
+// Leaves of the multiway walks: plain pull loops over one chunk, with the
+// same counter and trace feeds as the stream leaves.
+
+template <typename T, typename C>
+typename C::accumulation_type collect_leaf(streams::Spliterator<T>& sp,
+                                           const C& c) {
+  const std::uint64_t elems = sp.has(streams::kSized) ? sp.estimate_size() : 0;
+  observe::Span span(observe::EventKind::kAccumulate, elems);
+  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
+  observe::local_counters().on_leaf(elems);
+  auto acc = c.supply();
+  observe::local_counters().on_allocation();
+  sp.for_each_remaining([&](const T& value) { c.accumulate(acc, value); });
+  return acc;
+}
+
+/// Writes the chunk's elements into its window of the shared sink,
+/// rebased against the root window (the chunk may be a strided
+/// sub-window of the result).
+template <typename T, typename C>
+  requires streams::SizedSinkCollector<C, T>
+void collect_into_leaf(streams::Spliterator<T>& sp, const C& c,
+                       typename C::sized_accumulation_type& sink,
+                       const streams::OutputWindow& root) {
+  const auto w = streams::output_window_of(sp);
+  PLS_CHECK(w.has_value(),
+            "windowed SUBSIZED source split into a non-windowed chunk");
+  const std::uint64_t base = (w->start - root.start) / root.incr;
+  const std::uint64_t step = w->incr / root.incr;
+  PLS_CHECK(w->count == 0 || base + (w->count - 1) * step < root.count,
+            "destination window exceeds the result buffer");
+  observe::Span span(observe::EventKind::kAccumulate, w->count);
+  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
+  observe::local_counters().on_leaf(w->count);
+  std::uint64_t k = 0;
+  sp.for_each_remaining([&](const T& value) {
+    c.accumulate_at(sink, base + k * step, value);
+    ++k;
+  });
+  PLS_CHECK(k == w->count, "chunk yielded a different count than its window");
+}
+
 template <typename T, typename C>
 typename C::accumulation_type collect_multiway_tree(
     forkjoin::ForkJoinPool& pool, streams::Spliterator<T>& sp, const C& c,
     std::size_t arity, std::uint64_t target) {
   using A = typename C::accumulation_type;
   if (sp.estimate_size() <= target) {
-    return streams::detail::collect_leaf(sp, c);
+    return collect_leaf(sp, c);
   }
   auto* multiway = dynamic_cast<MultiwaySpliterator<T>*>(&sp);
   std::vector<std::unique_ptr<streams::Spliterator<T>>> prefixes;
@@ -178,7 +220,7 @@ typename C::accumulation_type collect_multiway_tree(
   if (prefixes.empty()) {
     // Fall back to binary splitting.
     auto prefix = sp.try_split();
-    if (!prefix) return streams::detail::collect_leaf(sp, c);
+    if (!prefix) return collect_leaf(sp, c);
     prefixes.push_back(std::move(prefix));
   }
   // Evaluate all parts (prefixes in order, then this) in parallel.
@@ -232,7 +274,7 @@ void collect_into_multiway_tree(forkjoin::ForkJoinPool& pool,
                                 std::size_t arity, std::uint64_t target,
                                 unsigned depth = 0) {
   if (sp.estimate_size() <= target) {
-    streams::detail::collect_into_leaf(sp, c, sink, root);
+    collect_into_leaf(sp, c, sink, root);
     return;
   }
   auto* multiway = dynamic_cast<MultiwaySpliterator<T>*>(&sp);
@@ -243,7 +285,7 @@ void collect_into_multiway_tree(forkjoin::ForkJoinPool& pool,
   if (prefixes.empty()) {
     auto prefix = sp.try_split();
     if (!prefix) {
-      streams::detail::collect_into_leaf(sp, c, sink, root);
+      collect_into_leaf(sp, c, sink, root);
       return;
     }
     prefixes.push_back(std::move(prefix));
@@ -302,7 +344,7 @@ typename C::result_type evaluate_collect_multiway(
       if (auto root = streams::plan_dps_window(sp)) {
         auto sink = c.supply_sized(root->count);
         if (!parallel) {
-          streams::detail::collect_into_leaf(sp, c, sink, *root);
+          detail::collect_into_leaf(sp, c, sink, *root);
         } else {
           auto& pool = cfg.effective_pool();
           const std::uint64_t target =
@@ -317,7 +359,7 @@ typename C::result_type evaluate_collect_multiway(
     }
   }
   if (!parallel) {
-    return c.finish(streams::detail::collect_leaf(sp, c));
+    return c.finish(detail::collect_leaf(sp, c));
   }
   auto& pool = cfg.effective_pool();
   const std::uint64_t target =

@@ -163,9 +163,6 @@ struct config {
   /// Allow the destination-passing collect path for session streams
   /// (docs/execution.md); mirrors ExecutionConfig::sized_sink.
   bool sized_sink = true;
-  /// Allow pipeline fusion for session streams (docs/execution.md,
-  /// "Pipeline fusion"); mirrors ExecutionConfig::fusion.
-  bool fusion = true;
   /// Let the planner's PlanCache tune the stream grain from profiled
   /// critical-path runs when `grain` is 0 (docs/execution.md, "Execution
   /// planning"); mirrors ExecutionConfig::auto_grain. Also switchable
@@ -230,13 +227,12 @@ class session {
   /// Stream execution config bound to this session's pool and settings;
   /// pass to any streams terminal operation (or Stream::collect
   /// overloads). Round-trips the session's stream-relevant options
-  /// losslessly: pool, grain, sized_sink and fusion all carry over.
+  /// losslessly: pool, grain, sized_sink and auto_grain all carry over.
   streams::ExecutionConfig stream_config() {
     return streams::ExecutionConfig{}
         .with_pool(pool())
         .with_min_chunk(cfg_.grain)
         .with_sized_sink(cfg_.sized_sink)
-        .with_fusion(cfg_.fusion)
         .with_auto_grain(cfg_.auto_grain)
         .with_queue_capacity(cfg_.queue_capacity)
         .with_watermarks(cfg_.high_watermark, cfg_.low_watermark)
@@ -249,7 +245,7 @@ class session {
   const streams::ExecutionPlan& plan() const { return streams::last_plan(); }
 
   /// Human-readable dump of plan(): why the last run took the path it
-  /// took (fusion and DPS verdicts with reasons, drive, grain, kernel).
+  /// took (stage summary, DPS verdict with reason, drive, grain, kernel).
   std::string explain() const { return streams::last_plan().explain(); }
 
   /// The skeleton leaf size for this session (config grain, or `fallback`
@@ -344,7 +340,9 @@ class session {
 /// simply runs on the session's pool:
 ///
 ///   auto sum = pls::run({.parallelism = 8}, [&](pls::session& s) {
-///     return pls::streams::evaluate_reduce(sp, op, true, s.stream_config());
+///     return pls::streams::Stream<long>::of_shared(data)
+///         .parallel(s.stream_config())
+///         .reduce(0L, op);
 ///   });
 template <typename Fn>
 auto run(const config& cfg, Fn&& fn) {

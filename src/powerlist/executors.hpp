@@ -335,7 +335,7 @@ R run_instrumented(const PowerFunction<T, R, Ctx>& f,
 
 /// Plan describing a PowerList fork-join run in the planner's vocabulary
 /// (origin kSynthesized): the divide-and-conquer drive is fixed by the
-/// executor, so fusion/DPS verdicts read kNotAStreamPipeline and the grain
+/// executor, so the DPS verdict reads kNotAStreamPipeline and the grain
 /// is the caller's leaf_size. Recorded via streams::record_plan so
 /// pls::session::explain() covers PowerList runs too.
 inline streams::ExecutionPlan synthesized_plan(std::size_t length,
@@ -355,8 +355,6 @@ inline streams::ExecutionPlan synthesized_plan(std::size_t length,
   p.stages = 0;
   p.one_to_one = true;
   p.cancels = false;
-  p.fused = false;
-  p.fusion_reason = streams::PlanReason::kNotAStreamPipeline;
   p.dps = false;
   p.dps_reason = streams::PlanReason::kNotAStreamPipeline;
   p.drive = streams::DriveMode::kForkJoinTree;

@@ -271,7 +271,6 @@ class ServiceSession final : public SessionBase {
     source_ = batch_source.get();
     std::unique_ptr<streams::Spliterator<In>> sp = std::move(batch_source);
     fused_ = streams::fuse_source<In>(sp);
-    PLS_CHECK(fused_ != nullptr, "service source refused fusion");
     if constexpr (sizeof...(Ops) > 0) {
       fused_->append_stage(
           std::make_shared<streams::StaticChainStage<In, Ops...>>(

@@ -7,15 +7,15 @@
 // and introspection are unchanged); fusion happens once, at terminal
 // evaluation, by walking the wrappers outermost-in through the
 // FusableStage mixin. Each fusable wrapper contributes an immutable
-// StageNode descriptor and hands over its upstream; when the walk bottoms
-// out in an admissible source (SIZED|SUBSIZED, windowed, window count ==
-// size — the same shape test the destination-passing collect uses), the
-// wrappers are consumed and the fused pipeline takes over. When any layer
-// is non-fusible (concat products, an unsized iterate tail, a
-// non-windowed source), nothing is consumed and the caller falls back to
-// the wrapper path unchanged. sorted is special: it materialises its
-// buffer and restarts the fusion walk on it as a fresh windowed array
-// source, so everything *downstream* of the buffer point still fuses.
+// StageNode descriptor and hands over its upstream. The walk stops at the
+// first layer that is not a FusableStage (a concat, an iterate tail, a
+// drop_while, any plain source) or whose strip refuses (a half-consumed
+// flat_map); that layer becomes the fused pipeline's source, and
+// FusedPipelineImpl is the pull-to-push adapter that drives it. Fusion
+// therefore never fails: every terminal runs one sink chain per leaf.
+// sorted is special: it materialises its buffer and restarts the fusion
+// walk on it as a fresh windowed array source, so everything *downstream*
+// of the buffer point still fuses.
 //
 // Splitting a FusedPipeline splits the source and shares the stage chain,
 // so the parallel tree walks fork fused leaves exactly where they forked
@@ -89,11 +89,14 @@ class FusedPipeline {
  public:
   virtual ~FusedPipeline() = default;
 
-  /// Remaining source elements (exact: admission requires SIZED).
+  /// Remaining source elements (exact when the source is SIZED).
   virtual std::uint64_t estimate_size() const = 0;
 
-  /// The source's destination window (admission guarantees presence on
-  /// the undivided pipeline; split products inherit it from their source).
+  /// Whether the source reports all of `wanted`'s characteristics.
+  virtual bool source_has(Characteristics wanted) const = 0;
+
+  /// The source's destination window, if it names one (split products
+  /// inherit it from their source).
   virtual std::optional<OutputWindow> source_window() const = 0;
 
   /// Split off a prefix pipeline sharing this stage chain, or nullptr
@@ -135,11 +138,12 @@ class FusedPipeline {
   /// Number of stripped stages in the chain (the planner's stage summary).
   std::size_t stage_count() const noexcept { return stages().size(); }
 
-  /// The element count a legacy wrapper leaf would have reported to the
-  /// observe counters (countable_size of the outermost wrapper): the
-  /// source size folded through every stage, 0 once any stage makes it
-  /// unknowable.
+  /// The element count a leaf reports to the observe counters: the
+  /// source size folded through every stage — what the outermost wrapper
+  /// reports as its SIZED estimate — or 0 when the source is not SIZED or
+  /// a stage makes the count unknowable.
   std::uint64_t countable_estimate() const {
+    if (!source_has(kSized)) return 0;
     std::uint64_t n = estimate_size();
     for (const auto& s : stages()) {
       if (n == kUnknownSinkSize) break;
@@ -158,9 +162,10 @@ class FusedPipeline {
 };
 
 /// Mixin for wrapper spliterators that can dissolve into a fused stage.
-/// strip_into_fused() consumes the wrapper's upstream ONLY when the whole
-/// chain below fused; on failure the wrapper (and everything under it) is
-/// untouched and keeps working as a spliterator.
+/// strip_into_fused() fuses the upstream (which always succeeds, see
+/// fuse_pipeline) and appends this wrapper's stage, or returns nullptr
+/// with nothing consumed when this wrapper cannot dissolve right now —
+/// the fuse step then adopts the wrapper itself as the source.
 class FusableStage {
  public:
   virtual ~FusableStage() = default;
@@ -189,6 +194,10 @@ class FusedPipelineImpl final : public FusedPipeline {
 
   std::uint64_t estimate_size() const override {
     return source_->estimate_size();
+  }
+
+  bool source_has(Characteristics wanted) const override {
+    return source_->has(wanted);
   }
 
   std::optional<OutputWindow> source_window() const override {
@@ -273,7 +282,7 @@ class FusedPipelineImpl final : public FusedPipeline {
   }
 
   /// Element-mode with a cancellation check between elements: consumes
-  /// exactly as deep into the source as the wrapper chain would have.
+  /// exactly as deep into the source as the chain's semantics demand.
   void drive_cancellable(Sink<S>& head) {
     while (!head.cancellation_requested() &&
            source_->try_advance([&](const S& v) { head.accept(v); })) {

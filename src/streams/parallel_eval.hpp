@@ -1,28 +1,33 @@
-// Terminal-operation evaluator: sequential and fork-join parallel.
+// Terminal-operation evaluator: sequential and fork-join parallel, over
+// one push transport.
 //
-// Parallel evaluation mirrors Java's: the spliterator is split recursively
-// until chunks reach a target size (estimate / (parallelism * 4) by
-// default, as in AbstractTask.suggestTargetSize), each leaf chunk is
-// reduced sequentially into a fresh container from the collector's
-// supplier, and containers are merged pairwise with the combiner on the way
-// up — the divide-and-conquer template the paper builds PowerList functions
-// on. try_split returns the *prefix*, so the left child of every fork is
-// the earlier half: combining left <- right preserves encounter order for
-// non-commutative combiners.
+// Every terminal runs fused (streams/fusion.hpp): the planner strips the
+// pipeline into a FusedPipeline, and each leaf composes one sink chain and
+// drives it with a single push loop. Parallel evaluation mirrors Java's:
+// the pipeline is split recursively until chunks reach a target size
+// (estimate / (parallelism * 4) by default, as in
+// AbstractTask.suggestTargetSize), each leaf chunk is reduced
+// sequentially, and sibling results are merged on the way up — the
+// divide-and-conquer template the paper builds PowerList functions on.
+// try_split returns the *prefix*, so the left child of every fork is the
+// earlier half: combining left <- right preserves encounter order for
+// non-commutative combiners. One split-tree walk (split_tree) serves every
+// terminal; the terminals differ only in their leaf action and combine.
 //
 // collect has a second execution model, destination-passing style (DPS):
 // when the collector is a sized sink (streams/sized_sink.hpp) and the
 // source is SIZED|SUBSIZED, windowed (WindowedSource) and power-of-two
-// sized, evaluate_collect allocates the result exactly once, threads each
-// chunk's destination window down the split tree, and every leaf writes
-// its elements straight to their final positions — the combine phase
-// becomes a no-op join, dropping combine-phase data movement from
-// O(n log n) to zero (docs/execution.md). Sources or collectors that do
-// not qualify take the supplier/combiner path unchanged.
+// sized, the result is allocated exactly once, each chunk's destination
+// window is threaded down the split tree, and every leaf writes its
+// elements straight to their final positions — the combine phase becomes
+// a no-op join, dropping combine-phase data movement from O(n log n) to
+// zero (docs/execution.md). Sources or collectors that do not qualify
+// take the supplier/combiner path.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "forkjoin/pool.hpp"
@@ -48,8 +53,8 @@ namespace pls::streams {
 /// one value type per terminal kind, holding the operation by reference
 /// (descriptors live only for the duration of the evaluate call). Both the
 /// dynamic Stream terminals and the typed static pipeline
-/// (streams/static_fusion.hpp) funnel through these, so fused, legacy and
-/// destination-passing routing exists exactly once.
+/// (streams/static_fusion.hpp) funnel through these, so supplier/combiner
+/// and destination-passing routing exists exactly once.
 namespace terminals {
 
 template <typename C>
@@ -70,9 +75,9 @@ struct ForEach {
 struct Count {};
 
 // Short-circuit terminals: the cancellation signal lives in the terminal
-// sink itself, so fused plans drive these element-mode regardless of the
-// stage chain (DriveMode::kElementLoop) and consume exactly as deep into
-// the source as the legacy pull loops.
+// sink itself, so plans drive these element-mode regardless of the stage
+// chain (DriveMode::kElementLoop), pulling no source element past the
+// one that decides the answer.
 
 template <typename Pred>
 struct AnyMatch {
@@ -122,259 +127,7 @@ constexpr FindFirst find_first() { return {}; }
 
 namespace detail {
 
-/// Exact remaining-element count for SIZED sources, 0 (uncounted) for
-/// unsized ones — keeps the observe hooks free of per-element work.
-template <typename T>
-std::uint64_t countable_size(const Spliterator<T>& sp) {
-  return sp.has(kSized) ? sp.estimate_size() : 0;
-}
-
-template <typename T, typename C>
-typename C::accumulation_type collect_leaf(Spliterator<T>& sp, const C& c,
-                                           observe::CpNode* cp = nullptr) {
-  const std::uint64_t elems = countable_size(sp);
-  observe::Span span(observe::EventKind::kAccumulate, elems);
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::cp_add_elements(cp, elems);
-  observe::local_counters().on_leaf(elems);
-  auto acc = c.supply();
-  observe::local_counters().on_allocation();
-  sp.for_each_remaining(
-      [&](const T& value) { c.accumulate(acc, value); });
-  return acc;
-}
-
-template <typename T, typename C>
-typename C::accumulation_type collect_tree(forkjoin::ForkJoinPool& pool,
-                                           Spliterator<T>& sp, const C& c,
-                                           std::uint64_t target,
-                                           unsigned depth = 0,
-                                           observe::CpNode* cp = nullptr) {
-  using A = typename C::accumulation_type;
-  if (sp.estimate_size() <= target) return collect_leaf(sp, c, cp);
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return sp.try_split();
-  }();
-  if (!prefix) return collect_leaf(sp, c, cp);
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<A> left;
-  std::optional<A> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left.emplace(collect_tree(pool, *prefix, c, target, depth + 1, cl));
-      },
-      [&, cr = cr] {
-        right.emplace(collect_tree(pool, sp, c, target, depth + 1, cr));
-      });
-  {
-    observe::Span span(observe::EventKind::kCombine, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kCombine);
-    observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-    c.combine(*left, *right);
-  }
-  observe::local_counters().on_combine();
-  return std::move(*left);
-}
-
-// DPS admission is plan_dps_window (streams/plan.hpp) — the planner's
-// single-home predicate. The walks below assume admission already held.
-
-template <typename T, typename C>
-  requires SizedSinkCollector<C, T>
-void collect_into_leaf(Spliterator<T>& sp, const C& c,
-                       typename C::sized_accumulation_type& sink,
-                       const OutputWindow& root,
-                       observe::CpNode* cp = nullptr) {
-  const auto w = output_window_of(sp);
-  PLS_CHECK(w.has_value(),
-            "windowed SUBSIZED source split into a non-windowed chunk");
-  // Rebase this chunk's window against the root's: the source may itself
-  // be a strided sub-window (e.g. a zip-split product), but the result
-  // buffer is indexed 0..root.count in root strides.
-  const std::uint64_t base = (w->start - root.start) / root.incr;
-  const std::uint64_t step = w->incr / root.incr;
-  PLS_CHECK(w->count == 0 || base + (w->count - 1) * step < root.count,
-            "destination window exceeds the result buffer");
-  const std::uint64_t elems = countable_size(sp);
-  observe::Span span(observe::EventKind::kAccumulate, elems);
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::cp_add_elements(cp, elems);
-  observe::local_counters().on_leaf(elems);
-  std::uint64_t k = 0;
-  sp.for_each_remaining([&](const T& value) {
-    c.accumulate_at(sink, base + k * step, value);
-    ++k;
-  });
-  PLS_CHECK(k == w->count, "chunk yielded a different count than its window");
-}
-
-template <typename T, typename C>
-  requires SizedSinkCollector<C, T>
-void collect_into_tree(forkjoin::ForkJoinPool& pool, Spliterator<T>& sp,
-                       const C& c, typename C::sized_accumulation_type& sink,
-                       const OutputWindow& root, std::uint64_t target,
-                       unsigned depth = 0, observe::CpNode* cp = nullptr) {
-  if (sp.estimate_size() <= target) {
-    collect_into_leaf(sp, c, sink, root, cp);
-    return;
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return sp.try_split();
-  }();
-  if (!prefix) {
-    collect_into_leaf(sp, c, sink, root, cp);
-    return;
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] {
-        collect_into_tree(pool, *prefix, c, sink, root, target, depth + 1, cl);
-      },
-      [&, cr = cr] {
-        collect_into_tree(pool, sp, c, sink, root, target, depth + 1, cr);
-      });
-  // The join is a true no-op: both children wrote disjoint windows of
-  // `sink`, so nothing is combined, counted, or moved on the way up.
-}
-
-template <typename T, typename Op>
-std::optional<T> reduce_leaf(Spliterator<T>& sp, const Op& op) {
-  std::optional<T> acc;
-  sp.for_each_remaining([&](const T& value) {
-    if (acc.has_value()) {
-      *acc = op(std::move(*acc), value);
-    } else {
-      acc = value;
-    }
-  });
-  return acc;
-}
-
-template <typename T, typename Op>
-std::optional<T> reduce_tree(forkjoin::ForkJoinPool& pool, Spliterator<T>& sp,
-                             const Op& op, std::uint64_t target,
-                             unsigned depth = 0,
-                             observe::CpNode* cp = nullptr) {
-  if (sp.estimate_size() <= target) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, countable_size(sp));
-    observe::local_counters().on_leaf(countable_size(sp));
-    return reduce_leaf(sp, op);
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return sp.try_split();
-  }();
-  if (!prefix) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, countable_size(sp));
-    observe::local_counters().on_leaf(countable_size(sp));
-    return reduce_leaf(sp, op);
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<T> left;
-  std::optional<T> right;
-  pool.invoke_two(
-      [&, cl = cl] { left = reduce_tree(pool, *prefix, op, target, depth + 1, cl); },
-      [&, cr = cr] { right = reduce_tree(pool, sp, op, target, depth + 1, cr); });
-  if (left.has_value() && right.has_value()) {
-    observe::CpScope phase(cp, observe::CpPhase::kCombine);
-    observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-    observe::local_counters().on_combine();
-    return op(std::move(*left), std::move(*right));
-  }
-  return left.has_value() ? std::move(left) : std::move(right);
-}
-
-template <typename T, typename Fn>
-void for_each_tree(forkjoin::ForkJoinPool& pool, Spliterator<T>& sp,
-                   const Fn& fn, std::uint64_t target, unsigned depth = 0,
-                   observe::CpNode* cp = nullptr) {
-  if (sp.estimate_size() <= target) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, countable_size(sp));
-    observe::local_counters().on_leaf(countable_size(sp));
-    sp.for_each_remaining([&](const T& value) { fn(value); });
-    return;
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return sp.try_split();
-  }();
-  if (!prefix) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, countable_size(sp));
-    observe::local_counters().on_leaf(countable_size(sp));
-    sp.for_each_remaining([&](const T& value) { fn(value); });
-    return;
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] { for_each_tree(pool, *prefix, fn, target, depth + 1, cl); },
-      [&, cr = cr] { for_each_tree(pool, sp, fn, target, depth + 1, cr); });
-}
-
-template <typename T>
-std::uint64_t count_tree(forkjoin::ForkJoinPool& pool, Spliterator<T>& sp,
-                         std::uint64_t target, unsigned depth = 0,
-                         observe::CpNode* cp = nullptr) {
-  if (sp.estimate_size() <= target) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    std::uint64_t n = 0;
-    sp.for_each_remaining([&](const T&) { ++n; });
-    observe::cp_add_elements(cp, n);
-    observe::local_counters().on_leaf(n);
-    return n;
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return sp.try_split();
-  }();
-  if (!prefix) {
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    std::uint64_t n = 0;
-    sp.for_each_remaining([&](const T&) { ++n; });
-    observe::cp_add_elements(cp, n);
-    observe::local_counters().on_leaf(n);
-    return n;
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::uint64_t left = 0, right = 0;
-  pool.invoke_two(
-      [&, cl = cl] { left = count_tree(pool, *prefix, target, depth + 1, cl); },
-      [&, cr = cr] { right = count_tree(pool, sp, target, depth + 1, cr); });
-  return left + right;
-}
-
-// ---- fused (push-mode) evaluation ------------------------------------
-//
-// The fused walks mirror the wrapper walks exactly — same split policy,
-// same Span/CpScope/LatencyTimer/counter instrumentation at the same
-// points — but each leaf composes one sink chain and runs one push loop
-// instead of traversing the wrapper pipeline per element. Every fused
-// leaf additionally bumps the fused_leaves counter so reports and the
-// critical-path profiler attribute the win (leaf_chunks - fused_leaves
-// is the legacy count).
+// ---- terminal sinks --------------------------------------------------
 
 /// Terminal sink feeding a classic collector's accumulator. Templated on
 /// the concrete collector so final collectors devirtualise in the chunk
@@ -402,9 +155,8 @@ class CollectorSink final : public Sink<T> {
   typename C::accumulation_type& acc_;
 };
 
-/// Terminal sink of the fused destination-passing collect: writes element
-/// k of this leaf to final position base + k * step of the shared sized
-/// sink (the same rebasing arithmetic as collect_into_leaf).
+/// Terminal sink of the destination-passing collect: writes element k of
+/// this leaf to final position base + k * step of the shared sized sink.
 template <typename T, typename C>
 class DpsSink final : public Sink<T> {
  public:
@@ -487,8 +239,8 @@ class CountSink final : public Sink<T> {
 // Cancelling terminal sinks of the short-circuit terminals. Each raises
 // cancellation_requested() the moment its answer is decided; the
 // element-mode driver (FusedPipeline::drive_short_circuit) checks it
-// between source elements, so the source is consumed exactly as deep as
-// the legacy pull loop would have consumed it.
+// between source elements, so no source element past the deciding one is
+// consumed.
 
 template <typename T, typename Pred>
 class AnyMatchSink final : public Sink<T> {
@@ -535,8 +287,7 @@ class FindFirstSink final : public Sink<T> {
 };
 
 /// Drive a short-circuit terminal sink over a fused pipeline. Always one
-/// element-mode leaf on the calling thread — encounter-order semantics,
-/// exactly like the legacy pull loops (which also ignore parallelism).
+/// element-mode leaf on the calling thread — encounter-order semantics.
 template <typename T, typename SinkT>
 void fused_short_circuit_drive(FusedPipeline& fp, SinkT& sink) {
   observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
@@ -545,9 +296,11 @@ void fused_short_circuit_drive(FusedPipeline& fp, SinkT& sink) {
   fp.drive_short_circuit(sink);
 }
 
-/// Leaf-entry bookkeeping shared by every fused leaf: the same counter and
-/// critical-path feeds as the wrapper leaves (countable_estimate mirrors
-/// countable_size of the outermost wrapper), plus the fused tally.
+// ---- leaves ----------------------------------------------------------
+
+/// Leaf-entry bookkeeping shared by the leaves: the element count the
+/// pipeline reports (countable_estimate) feeds the counters and the
+/// critical-path node, plus the fused tally.
 inline std::uint64_t fused_leaf_enter(const FusedPipeline& fp,
                                       observe::CpNode* cp) {
   const std::uint64_t elems = fp.countable_estimate();
@@ -573,42 +326,6 @@ typename C::accumulation_type fused_collect_leaf(
 }
 
 template <typename T, typename C>
-typename C::accumulation_type fused_collect_tree(
-    forkjoin::ForkJoinPool& pool, FusedPipeline& fp, const C& c,
-    std::uint64_t target, unsigned depth = 0,
-    observe::CpNode* cp = nullptr) {
-  using A = typename C::accumulation_type;
-  if (fp.estimate_size() <= target) return fused_collect_leaf<T>(fp, c, cp);
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) return fused_collect_leaf<T>(fp, c, cp);
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<A> left;
-  std::optional<A> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left.emplace(
-            fused_collect_tree<T>(pool, *prefix, c, target, depth + 1, cl));
-      },
-      [&, cr = cr] {
-        right.emplace(
-            fused_collect_tree<T>(pool, fp, c, target, depth + 1, cr));
-      });
-  {
-    observe::Span span(observe::EventKind::kCombine, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kCombine);
-    observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-    c.combine(*left, *right);
-  }
-  observe::local_counters().on_combine();
-  return std::move(*left);
-}
-
-template <typename T, typename C>
   requires SizedSinkCollector<C, T>
 void fused_collect_into_leaf(FusedPipeline& fp, const C& c,
                              typename C::sized_accumulation_type& sink,
@@ -617,6 +334,9 @@ void fused_collect_into_leaf(FusedPipeline& fp, const C& c,
   const auto w = fp.source_window();
   PLS_CHECK(w.has_value(),
             "windowed fused source split into a non-windowed chunk");
+  // Rebase this chunk's window against the root's: the source may itself
+  // be a strided sub-window (e.g. a zip-split product), but the result
+  // buffer is indexed 0..root.count in root strides.
   const std::uint64_t base = (w->start - root.start) / root.incr;
   const std::uint64_t step = w->incr / root.incr;
   PLS_CHECK(w->count == 0 || base + (w->count - 1) * step < root.count,
@@ -632,40 +352,6 @@ void fused_collect_into_leaf(FusedPipeline& fp, const C& c,
             "fused chunk yielded a different count than its window");
 }
 
-template <typename T, typename C>
-  requires SizedSinkCollector<C, T>
-void fused_collect_into_tree(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
-                             const C& c,
-                             typename C::sized_accumulation_type& sink,
-                             const OutputWindow& root, std::uint64_t target,
-                             unsigned depth = 0,
-                             observe::CpNode* cp = nullptr) {
-  if (fp.estimate_size() <= target) {
-    fused_collect_into_leaf<T>(fp, c, sink, root, cp);
-    return;
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) {
-    fused_collect_into_leaf<T>(fp, c, sink, root, cp);
-    return;
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] {
-        fused_collect_into_tree<T>(pool, *prefix, c, sink, root, target,
-                                   depth + 1, cl);
-      },
-      [&, cr = cr] {
-        fused_collect_into_tree<T>(pool, fp, c, sink, root, target,
-                                   depth + 1, cr);
-      });
-}
-
 template <typename T, typename Op>
 std::optional<T> fused_reduce_leaf(FusedPipeline& fp, const Op& op,
                                    observe::CpNode* cp = nullptr) {
@@ -678,38 +364,6 @@ std::optional<T> fused_reduce_leaf(FusedPipeline& fp, const Op& op,
   return acc;
 }
 
-template <typename T, typename Op>
-std::optional<T> fused_reduce_tree(forkjoin::ForkJoinPool& pool,
-                                   FusedPipeline& fp, const Op& op,
-                                   std::uint64_t target, unsigned depth = 0,
-                                   observe::CpNode* cp = nullptr) {
-  if (fp.estimate_size() <= target) return fused_reduce_leaf<T>(fp, op, cp);
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) return fused_reduce_leaf<T>(fp, op, cp);
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<T> left;
-  std::optional<T> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left = fused_reduce_tree<T>(pool, *prefix, op, target, depth + 1, cl);
-      },
-      [&, cr = cr] {
-        right = fused_reduce_tree<T>(pool, fp, op, target, depth + 1, cr);
-      });
-  if (left.has_value() && right.has_value()) {
-    observe::CpScope phase(cp, observe::CpPhase::kCombine);
-    observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-    observe::local_counters().on_combine();
-    return op(std::move(*left), std::move(*right));
-  }
-  return left.has_value() ? std::move(left) : std::move(right);
-}
-
 template <typename T, typename Fn>
 void fused_for_each_leaf(FusedPipeline& fp, const Fn& fn,
                          observe::CpNode* cp = nullptr) {
@@ -720,34 +374,7 @@ void fused_for_each_leaf(FusedPipeline& fp, const Fn& fn,
   fp.drive(sink);
 }
 
-template <typename T, typename Fn>
-void fused_for_each_tree(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
-                         const Fn& fn, std::uint64_t target,
-                         unsigned depth = 0, observe::CpNode* cp = nullptr) {
-  if (fp.estimate_size() <= target) {
-    fused_for_each_leaf<T>(fp, fn, cp);
-    return;
-  }
-  auto prefix = [&] {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) {
-    fused_for_each_leaf<T>(fp, fn, cp);
-    return;
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] {
-        fused_for_each_tree<T>(pool, *prefix, fn, target, depth + 1, cl);
-      },
-      [&, cr = cr] {
-        fused_for_each_tree<T>(pool, fp, fn, target, depth + 1, cr);
-      });
-}
-
+/// Count reports the exact number it counted, not the estimate.
 template <typename T>
 std::uint64_t fused_count_leaf(FusedPipeline& fp,
                                observe::CpNode* cp = nullptr) {
@@ -762,38 +389,100 @@ std::uint64_t fused_count_leaf(FusedPipeline& fp,
   return n;
 }
 
-template <typename T>
-std::uint64_t fused_count_tree(forkjoin::ForkJoinPool& pool,
-                               FusedPipeline& fp, std::uint64_t target,
-                               unsigned depth = 0,
-                               observe::CpNode* cp = nullptr) {
-  if (fp.estimate_size() <= target) return fused_count_leaf<T>(fp, cp);
+// ---- the split-tree walk ---------------------------------------------
+
+/// Combine argument of split_tree for leaves that return nothing (DPS
+/// collect, for_each): the join is a true no-op.
+struct NoCombine {};
+
+/// Combine-phase instrumentation shared by the combining terminals.
+template <typename Fn>
+auto combine_phase(unsigned depth, observe::CpNode* cp, Fn&& fn) {
+  observe::Span span(observe::EventKind::kCombine, depth);
+  observe::CpScope phase(cp, observe::CpPhase::kCombine);
+  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
+  observe::local_counters().on_combine();
+  return fn();
+}
+
+/// What a leaf action returns (void for DPS collect and for_each).
+template <typename Leaf>
+using leaf_result_t =
+    std::invoke_result_t<const Leaf&, FusedPipeline&, observe::CpNode*>;
+
+/// THE split-tree walk: split `fp` until a chunk holds at most `target`
+/// elements or refuses to split, run `leaf(chunk, cp)` on every leaf, and
+/// on the way up fold sibling results with
+/// `combine(left, right, depth, cp)` (left is the encounter-order
+/// prefix). Leaves returning void take NoCombine.
+template <typename Leaf, typename Combine>
+auto split_tree(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
+                std::uint64_t target, const Leaf& leaf,
+                const Combine& combine, unsigned depth, observe::CpNode* cp)
+    -> leaf_result_t<Leaf> {
+  using R = leaf_result_t<Leaf>;
+  if (fp.estimate_size() <= target) return leaf(fp, cp);
   auto prefix = [&] {
     observe::Span span(observe::EventKind::kSplit, depth);
     observe::CpScope phase(cp, observe::CpPhase::kSplit);
     return fp.try_split();
   }();
-  if (!prefix) return fused_count_leaf<T>(fp, cp);
+  if (!prefix) return leaf(fp, cp);
   observe::local_counters().on_split(depth);
   const auto [cl, cr] = observe::cp_fork(cp);
-  std::uint64_t left = 0, right = 0;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left = fused_count_tree<T>(pool, *prefix, target, depth + 1, cl);
-      },
-      [&, cr = cr] {
-        right = fused_count_tree<T>(pool, fp, target, depth + 1, cr);
-      });
-  return left + right;
+  if constexpr (std::is_void_v<R>) {
+    pool.invoke_two(
+        [&, cl = cl] {
+          split_tree(pool, *prefix, target, leaf, combine, depth + 1, cl);
+        },
+        [&, cr = cr] {
+          split_tree(pool, fp, target, leaf, combine, depth + 1, cr);
+        });
+  } else {
+    std::optional<R> left;
+    std::optional<R> right;
+    pool.invoke_two(
+        [&, cl = cl] {
+          left.emplace(
+              split_tree(pool, *prefix, target, leaf, combine, depth + 1, cl));
+        },
+        [&, cr = cr] {
+          right.emplace(
+              split_tree(pool, fp, target, leaf, combine, depth + 1, cr));
+        });
+    return combine(std::move(*left), std::move(*right), depth, cp);
+  }
 }
 
-// ---- fused terminal dispatch -----------------------------------------
+/// Run `leaf` over the whole pipeline as the plan says: one leaf on the
+/// calling thread when sequential, otherwise split_tree at the plan's
+/// grain inside the pool, feeding the profiled run back to the PlanCache.
+template <typename Leaf, typename Combine>
+auto drive_plan(FusedPipeline& fp, bool parallel, const ExecutionConfig& cfg,
+                const ExecutionPlan& plan, const Leaf& leaf,
+                const Combine& combine) {
+  if (!parallel) return leaf(fp, nullptr);
+  auto& pool = cfg.effective_pool();
+  observe::CpNode* cp = observe::cp_new_root();
+  const auto walk = [&] {
+    return split_tree(pool, fp, plan.grain, leaf, combine, 0, cp);
+  };
+  if constexpr (std::is_void_v<leaf_result_t<Leaf>>) {
+    pool.run(walk);
+    plan_feedback(plan, cp);
+  } else {
+    auto out = pool.run(walk);
+    plan_feedback(plan, cp);
+    return out;
+  }
+}
+
+// ---- terminal dispatch -----------------------------------------------
 //
 // One run_fused overload per terminal descriptor; T is the pipeline's
 // output element type. Each obeys the plan the caller computed (DPS
-// verdict, resolved grain) and feeds profiled runs back to the PlanCache;
-// both the dynamic evaluate() entry and the static pipeline's
-// evaluate_fused arrive here with a plan.
+// verdict, resolved grain); both the dynamic evaluate() entry and the
+// static pipeline's evaluate_fused arrive here with a plan.
 
 template <typename T, typename C>
 typename C::result_type run_fused(FusedPipeline& fused,
@@ -805,29 +494,25 @@ typename C::result_type run_fused(FusedPipeline& fused,
     if (plan.dps) {
       const OutputWindow root = *plan.window;
       auto sink = c.supply_sized(root.count);
-      if (!parallel) {
-        fused_collect_into_leaf<T>(fused, c, sink, root);
-      } else {
-        auto& pool = cfg.effective_pool();
-        observe::CpNode* cp = observe::cp_new_root();
-        pool.run([&] {
-          fused_collect_into_tree<T>(pool, fused, c, sink, root, plan.grain,
-                                     0, cp);
-        });
-        plan_feedback(plan, cp);
-      }
+      drive_plan(
+          fused, parallel, cfg, plan,
+          [&](FusedPipeline& fp, observe::CpNode* cp) {
+            fused_collect_into_leaf<T>(fp, c, sink, root, cp);
+          },
+          NoCombine{});
       return c.finish_sized(std::move(sink));
     }
   }
-  if (!parallel) {
-    return c.finish(fused_collect_leaf<T>(fused, c));
-  }
-  auto& pool = cfg.effective_pool();
-  observe::CpNode* cp = observe::cp_new_root();
-  auto acc = pool.run([&] {
-    return fused_collect_tree<T>(pool, fused, c, plan.grain, 0, cp);
-  });
-  plan_feedback(plan, cp);
+  using A = typename C::accumulation_type;
+  auto acc = drive_plan(
+      fused, parallel, cfg, plan,
+      [&](FusedPipeline& fp, observe::CpNode* cp) {
+        return fused_collect_leaf<T>(fp, c, cp);
+      },
+      [&](A&& left, A&& right, unsigned depth, observe::CpNode* cp) {
+        combine_phase(depth, cp, [&] { c.combine(left, right); });
+        return std::move(left);
+      });
   return c.finish(std::move(acc));
 }
 
@@ -836,49 +521,50 @@ std::optional<T> run_fused(FusedPipeline& fused,
                            const terminals::Reduce<Op>& term, bool parallel,
                            const ExecutionConfig& cfg,
                            const ExecutionPlan& plan) {
-  if (!parallel) return fused_reduce_leaf<T>(fused, term.op);
-  auto& pool = cfg.effective_pool();
-  observe::CpNode* cp = observe::cp_new_root();
-  auto out = pool.run([&] {
-    return fused_reduce_tree<T>(pool, fused, term.op, plan.grain, 0, cp);
-  });
-  plan_feedback(plan, cp);
-  return out;
+  const Op& op = term.op;
+  return drive_plan(
+      fused, parallel, cfg, plan,
+      [&](FusedPipeline& fp, observe::CpNode* cp) {
+        return fused_reduce_leaf<T>(fp, op, cp);
+      },
+      [&](std::optional<T>&& left, std::optional<T>&& right, unsigned depth,
+          observe::CpNode* cp) -> std::optional<T> {
+        if (!left.has_value()) return std::move(right);
+        if (!right.has_value()) return std::move(left);
+        return combine_phase(depth, cp, [&] {
+          return std::optional<T>(op(std::move(*left), std::move(*right)));
+        });
+      });
 }
 
 template <typename T, typename Fn>
 void run_fused(FusedPipeline& fused, const terminals::ForEach<Fn>& term,
                bool parallel, const ExecutionConfig& cfg,
                const ExecutionPlan& plan) {
-  if (!parallel) {
-    fused_for_each_leaf<T>(fused, term.fn);
-    return;
-  }
-  auto& pool = cfg.effective_pool();
-  observe::CpNode* cp = observe::cp_new_root();
-  pool.run([&] {
-    fused_for_each_tree<T>(pool, fused, term.fn, plan.grain, 0, cp);
-  });
-  plan_feedback(plan, cp);
+  drive_plan(
+      fused, parallel, cfg, plan,
+      [&](FusedPipeline& fp, observe::CpNode* cp) {
+        fused_for_each_leaf<T>(fp, term.fn, cp);
+      },
+      NoCombine{});
 }
 
 template <typename T>
 std::uint64_t run_fused(FusedPipeline& fused, const terminals::Count&,
                         bool parallel, const ExecutionConfig& cfg,
                         const ExecutionPlan& plan) {
-  if (!parallel) return fused_count_leaf<T>(fused);
-  auto& pool = cfg.effective_pool();
-  observe::CpNode* cp = observe::cp_new_root();
-  auto out = pool.run(
-      [&] { return fused_count_tree<T>(pool, fused, plan.grain, 0, cp); });
-  plan_feedback(plan, cp);
-  return out;
+  return drive_plan(
+      fused, parallel, cfg, plan,
+      [](FusedPipeline& fp, observe::CpNode* cp) {
+        return fused_count_leaf<T>(fp, cp);
+      },
+      [](std::uint64_t left, std::uint64_t right, unsigned,
+         observe::CpNode*) { return left + right; });
 }
 
 // Short-circuit terminals run one element-mode leaf whatever the parallel
 // flag says (the plan records DriveMode::kElementLoop): splitting could
-// find *a* match but not the encounter-order-first one, and the legacy
-// pull loops they must stay consumption-identical to are sequential too.
+// find *a* match but not the encounter-order-first one.
 
 template <typename T, typename Pred>
 bool run_fused(FusedPipeline& fused, const terminals::AnyMatch<Pred>& term,
@@ -922,143 +608,13 @@ std::optional<T> run_fused(FusedPipeline& fused, const terminals::FindFirst&,
 
 }  // namespace detail
 
-/// Run a mutable reduction in destination-passing style: acquire the sized
-/// sink exactly once, walk the split tree threading each chunk's output
-/// window, and let every leaf write its elements to their final positions.
-/// `root` must be the window the source reported for the whole input
-/// (evaluate_collect performs the admission checks and calls this; invoke
-/// directly only when both are already known to hold). In parallel mode
-/// the sink is written concurrently — always at distinct positions.
-template <typename T, typename C>
-  requires SizedSinkCollector<C, T>
-typename C::result_type evaluate_collect_into(Spliterator<T>& sp, const C& c,
-                                              const OutputWindow& root,
-                                              bool parallel,
-                                              const ExecutionConfig& cfg = {},
-                                              const ExecutionPlan* plan =
-                                                  nullptr) {
-  auto sink = c.supply_sized(root.count);
-  if (!parallel) {
-    detail::collect_into_leaf(sp, c, sink, root);
-  } else {
-    auto& pool = cfg.effective_pool();
-    const std::uint64_t target =
-        plan ? plan->grain : cfg.target_size(root.count, pool.parallelism());
-    observe::CpNode* cp = observe::cp_new_root();
-    pool.run([&] {
-      detail::collect_into_tree(pool, sp, c, sink, root, target, 0, cp);
-    });
-    if (plan) plan_feedback(*plan, cp);
-  }
-  return c.finish_sized(std::move(sink));
-}
-
-/// Run a full mutable reduction over the spliterator. Prefers the
-/// destination-passing path when the collector is a sized sink and the
-/// source qualifies (see plan_dps_window in streams/plan.hpp); otherwise —
-/// or when cfg.sized_sink is off — runs the classic supplier/combiner
-/// reduction. When a plan is supplied the routing and grain follow its
-/// verdicts verbatim; standalone callers (nullptr) get the same decisions
-/// re-derived from the planner's predicates.
-template <typename T, typename C>
-typename C::result_type evaluate_collect(Spliterator<T>& sp, const C& c,
-                                         bool parallel,
-                                         const ExecutionConfig& cfg = {},
-                                         const ExecutionPlan* plan = nullptr) {
-  if constexpr (SizedSinkCollector<C, T>) {
-    if (plan) {
-      if (plan->dps) {
-        return evaluate_collect_into(sp, c, *plan->window, parallel, cfg,
-                                     plan);
-      }
-    } else if (cfg.sized_sink) {
-      if (auto root = plan_dps_window(sp)) {
-        return evaluate_collect_into(sp, c, *root, parallel, cfg);
-      }
-    }
-  }
-  if (!parallel) {
-    return c.finish(detail::collect_leaf(sp, c));
-  }
-  auto& pool = cfg.effective_pool();
-  const std::uint64_t target =
-      plan ? plan->grain
-           : cfg.target_size(sp.estimate_size(), pool.parallelism());
-  observe::CpNode* cp = observe::cp_new_root();
-  auto acc = pool.run(
-      [&] { return detail::collect_tree(pool, sp, c, target, 0, cp); });
-  if (plan) plan_feedback(*plan, cp);
-  return c.finish(std::move(acc));
-}
-
-/// Reduce with an associative binary operator; empty source gives nullopt.
-template <typename T, typename Op>
-std::optional<T> evaluate_reduce(Spliterator<T>& sp, const Op& op,
-                                 bool parallel,
-                                 const ExecutionConfig& cfg = {},
-                                 const ExecutionPlan* plan = nullptr) {
-  if (!parallel) return detail::reduce_leaf(sp, op);
-  auto& pool = cfg.effective_pool();
-  const std::uint64_t target =
-      plan ? plan->grain
-           : cfg.target_size(sp.estimate_size(), pool.parallelism());
-  observe::CpNode* cp = observe::cp_new_root();
-  auto out = pool.run(
-      [&] { return detail::reduce_tree(pool, sp, op, target, 0, cp); });
-  if (plan) plan_feedback(*plan, cp);
-  return out;
-}
-
-/// Apply `fn` to every element. In parallel mode `fn` must be safe to call
-/// concurrently; no encounter-order guarantee (as in Java's forEach).
-template <typename T, typename Fn>
-void evaluate_for_each(Spliterator<T>& sp, const Fn& fn, bool parallel,
-                       const ExecutionConfig& cfg = {},
-                       const ExecutionPlan* plan = nullptr) {
-  if (!parallel) {
-    sp.for_each_remaining([&](const T& value) { fn(value); });
-    return;
-  }
-  auto& pool = cfg.effective_pool();
-  const std::uint64_t target =
-      plan ? plan->grain
-           : cfg.target_size(sp.estimate_size(), pool.parallelism());
-  observe::CpNode* cp = observe::cp_new_root();
-  pool.run([&] { detail::for_each_tree(pool, sp, fn, target, 0, cp); });
-  if (plan) plan_feedback(*plan, cp);
-}
-
-/// Count elements (traverses; exact regardless of SIZED).
-template <typename T>
-std::uint64_t evaluate_count(Spliterator<T>& sp, bool parallel,
-                             const ExecutionConfig& cfg = {},
-                             const ExecutionPlan* plan = nullptr) {
-  if (!parallel) {
-    std::uint64_t n = 0;
-    sp.for_each_remaining([&](const T&) { ++n; });
-    return n;
-  }
-  auto& pool = cfg.effective_pool();
-  const std::uint64_t target =
-      plan ? plan->grain
-           : cfg.target_size(sp.estimate_size(), pool.parallelism());
-  observe::CpNode* cp = observe::cp_new_root();
-  auto out = pool.run(
-      [&] { return detail::count_tree(pool, sp, target, 0, cp); });
-  if (plan) plan_feedback(*plan, cp);
-  return out;
-}
-
 // ---- unified pipeline terminal dispatch ------------------------------
 //
 // Stream terminals hand their outermost spliterator here by owning
 // pointer, together with a terminals:: descriptor naming the operation.
-// evaluate() asks the planner (plan_pipeline, streams/plan.hpp) for an
-// ExecutionPlan, records it for pls::session::explain(), and then merely
-// obeys it: fused plans run push-mode, unfused plans walk the wrappers
-// through the legacy pulls above. The legacy evaluate_* functions keep
-// their exact standalone behaviour for direct callers (powerlist
-// executors, existing tests) when no plan is passed.
+// evaluate() fuses the pipeline, asks the planner (streams/plan.hpp) for
+// an ExecutionPlan, records it for pls::session::explain(), and then
+// merely obeys it.
 
 namespace detail {
 
@@ -1125,125 +681,13 @@ struct TerminalTraits<T, terminals::FindFirst> {
   static constexpr bool chunk_collector = false;
 };
 
-// Legacy (pull-mode) routing, one overload per terminal descriptor.
-// Defined after the evaluate_* functions they forward to; the plan is
-// threaded through so grain/DPS follow the planner's verdicts.
-
-template <typename T, typename C>
-typename C::result_type run_legacy(Spliterator<T>& sp,
-                                   const terminals::Collect<C>& term,
-                                   bool parallel, const ExecutionConfig& cfg,
-                                   const ExecutionPlan* plan) {
-  return evaluate_collect(sp, term.collector, parallel, cfg, plan);
-}
-
-template <typename T, typename Op>
-std::optional<T> run_legacy(Spliterator<T>& sp,
-                            const terminals::Reduce<Op>& term, bool parallel,
-                            const ExecutionConfig& cfg,
-                            const ExecutionPlan* plan) {
-  return evaluate_reduce(sp, term.op, parallel, cfg, plan);
-}
-
-template <typename T, typename Fn>
-void run_legacy(Spliterator<T>& sp, const terminals::ForEach<Fn>& term,
-                bool parallel, const ExecutionConfig& cfg,
-                const ExecutionPlan* plan) {
-  evaluate_for_each(sp, term.fn, parallel, cfg, plan);
-}
-
-template <typename T>
-std::uint64_t run_legacy(Spliterator<T>& sp, const terminals::Count&,
-                         bool parallel, const ExecutionConfig& cfg,
-                         const ExecutionPlan* plan) {
-  return evaluate_count(sp, parallel, cfg, plan);
-}
-
-// Short-circuit terminals: the exact pull loops the Stream terminals ran
-// before the unified dispatch — sequential, stopping at the first
-// deciding element. The fused sinks above must stay consumption-depth
-// identical to these.
-
-template <typename T, typename Pred>
-bool run_legacy(Spliterator<T>& sp, const terminals::AnyMatch<Pred>& term,
-                bool /*parallel*/, const ExecutionConfig& /*cfg*/,
-                const ExecutionPlan* /*plan*/) {
-  bool found = false;
-  while (!found && sp.try_advance([&](const T& value) {
-    if (term.pred(value)) found = true;
-  })) {
-  }
-  return found;
-}
-
-template <typename T, typename Pred>
-bool run_legacy(Spliterator<T>& sp, const terminals::AllMatch<Pred>& term,
-                bool /*parallel*/, const ExecutionConfig& /*cfg*/,
-                const ExecutionPlan* /*plan*/) {
-  bool ok = true;
-  while (ok && sp.try_advance([&](const T& value) {
-    if (!term.pred(value)) ok = false;
-  })) {
-  }
-  return ok;
-}
-
-template <typename T, typename Pred>
-bool run_legacy(Spliterator<T>& sp, const terminals::NoneMatch<Pred>& term,
-                bool /*parallel*/, const ExecutionConfig& /*cfg*/,
-                const ExecutionPlan* /*plan*/) {
-  bool found = false;
-  while (!found && sp.try_advance([&](const T& value) {
-    if (term.pred(value)) found = true;
-  })) {
-  }
-  return !found;
-}
-
-template <typename T>
-std::optional<T> run_legacy(Spliterator<T>& sp, const terminals::FindFirst&,
-                            bool /*parallel*/, const ExecutionConfig& /*cfg*/,
-                            const ExecutionPlan* /*plan*/) {
-  std::optional<T> out;
-  sp.try_advance([&](const T& value) { out = value; });
-  return out;
-}
-
 }  // namespace detail
 
-/// THE terminal entry point: plan, record, execute. plan_pipeline makes
-/// every admission decision (fusion, DPS, grain, drive, kernel) in one
-/// place; this function dispatches on its verdicts — run_fused when the
-/// chain stripped, run_legacy over the untouched wrappers otherwise.
-/// Used by every dynamic Stream terminal; the typed static pipeline
-/// routes through evaluate_fused below with its compiled stage stack
-/// appended, passing PlanOrigin::kStatic (or kStaticFallback back here).
-template <typename T, typename Term>
-auto evaluate(std::unique_ptr<Spliterator<T>>& sp, const Term& term,
-              bool parallel, const ExecutionConfig& cfg = {},
-              PlanOrigin origin = PlanOrigin::kDynamic) {
-  PLS_CHECK(sp != nullptr, "evaluate requires a source");
-  using Traits = detail::TerminalTraits<T, Term>;
-  auto planned =
-      plan_pipeline<T>(sp, Traits::kind, Traits::sized_collector,
-                       Traits::chunk_collector, parallel, cfg, origin);
-  record_plan(planned.plan);
-  // Scope declared after `planned` (whose plan it captures) and before
-  // the dispatch: its destructor fires once the terminal's result is
-  // materialized, appending one RunRecord covering the full run.
-  RunScope run_scope(planned.plan);
-  if (planned.fused) {
-    return detail::run_fused<T>(*planned.fused, term, parallel, cfg,
-                                planned.plan);
-  }
-  return detail::run_legacy<T>(*sp, term, parallel, cfg, &planned.plan);
-}
-
 /// Evaluate a terminal over an already-stripped FusedPipeline whose output
-/// element type is T. The static pipeline calls this after appending its
-/// StaticChainStage; the plan is derived from the fused shape
-/// (plan_fused_pipeline) so the routing (DPS admission, leaf vs tree,
-/// instrumentation) is byte-for-byte the dynamic fused path's.
+/// element type is T: plan (plan_fused_pipeline decides DPS, grain, drive
+/// and kernel in one place), record the plan for pls::session::explain(),
+/// and run on its verdicts. The static pipeline calls this after
+/// appending its StaticChainStage.
 template <typename T, typename Term>
 auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
                     const ExecutionConfig& cfg = {},
@@ -1253,8 +697,22 @@ auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
       plan_fused_pipeline(fused, Traits::kind, Traits::sized_collector,
                           Traits::chunk_collector, parallel, cfg, origin);
   record_plan(plan);
+  // Declared before the dispatch: its destructor fires once the
+  // terminal's result is materialized, appending one RunRecord covering
+  // the full run.
   RunScope run_scope(plan);
   return detail::run_fused<T>(fused, term, parallel, cfg, plan);
+}
+
+/// THE terminal entry point of every dynamic Stream terminal: fuse the
+/// pipeline rooted at `sp` (consuming it), then plan, record and execute.
+template <typename T, typename Term>
+auto evaluate(std::unique_ptr<Spliterator<T>>& sp, const Term& term,
+              bool parallel, const ExecutionConfig& cfg = {},
+              PlanOrigin origin = PlanOrigin::kDynamic) {
+  PLS_CHECK(sp != nullptr, "evaluate requires a source");
+  auto fused = fuse_pipeline<T>(sp);
+  return evaluate_fused<T>(*fused, term, parallel, cfg, origin);
 }
 
 }  // namespace pls::streams

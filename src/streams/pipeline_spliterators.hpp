@@ -68,9 +68,7 @@ class MapSpliterator final : public Spliterator<U>,
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<MapStage<U, T, Fn>>(fn_));
-    }
+    fused->append_stage(std::make_shared<MapStage<U, T, Fn>>(fn_));
     return fused;
   }
 
@@ -132,9 +130,7 @@ class FilterSpliterator final : public Spliterator<T>, public FusableStage {
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<FilterStage<T, Pred>>(pred_));
-    }
+    fused->append_stage(std::make_shared<FilterStage<T, Pred>>(pred_));
     return fused;
   }
 
@@ -194,9 +190,7 @@ class PeekSpliterator final : public Spliterator<T>,
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<PeekStage<T, Fn>>(observer_));
-    }
+    fused->append_stage(std::make_shared<PeekStage<T, Fn>>(observer_));
     return fused;
   }
 
@@ -207,7 +201,8 @@ class PeekSpliterator final : public Spliterator<T>,
 
 /// flat_map: Fn(T) -> std::vector<U>, concatenating the results. Fuses
 /// into a FlatMapSink — the mapMulti-style multi-accept expansion — as
-/// long as no expansion is mid-flight in the pull buffer.
+/// long as no expansion is mid-flight in the pull buffer; otherwise the
+/// wrapper itself becomes the fused pipeline's source.
 template <typename U, typename T, typename Fn>
 class FlatMapSpliterator final : public Spliterator<U>, public FusableStage {
  public:
@@ -262,12 +257,10 @@ class FlatMapSpliterator final : public Spliterator<U>, public FusableStage {
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     // Elements already expanded into the pull buffer precede the
     // remaining upstream in encounter order; a fresh sink chain would
-    // drop them, so refuse (terminals strip before traversal anyway).
+    // drop them, so refuse and let the fuse step drive this wrapper.
     if (cursor_ < buffer_.size()) return nullptr;
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<FlatMapStage<U, T, Fn>>(fn_));
-    }
+    fused->append_stage(std::make_shared<FlatMapStage<U, T, Fn>>(fn_));
     return fused;
   }
 
@@ -325,9 +318,7 @@ class DistinctSpliterator final : public Spliterator<T>, public FusableStage {
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<DistinctStage<T>>());
-    }
+    fused->append_stage(std::make_shared<DistinctStage<T>>());
     return fused;
   }
 
@@ -396,9 +387,8 @@ class SortedSpliterator final : public Spliterator<T>,
   }
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    // Materialise, then restart the fusion walk on the buffer: a fresh
-    // array source always admits, so sorted never blocks its downstream
-    // from fusing.
+    // Materialise, then restart the fusion walk on the buffer: the
+    // downstream stages fuse over a windowed array source.
     ensure_buffered();
     return fuse_pipeline<T>(inner_);
   }

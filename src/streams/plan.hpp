@@ -1,18 +1,21 @@
 // The execution planner: every admission decision the runtime makes —
-// pipeline-fusion admission, destination-passing (DPS) collect admission,
-// static-fusion fallback, drive mode, split grain, and chunk-kernel
-// eligibility — is decided HERE, once, and recorded in an ExecutionPlan
-// value. Terminal evaluation (streams/parallel_eval.hpp), the typed
-// static pipeline, the multiway collect, and the PowerList adaptation
-// layer all plan-then-execute: they ask plan_pipeline() (or one of the
-// single-home predicates below) and obey the verdicts, instead of
-// re-deriving routing at each entry point.
+// destination-passing (DPS) collect admission, drive mode, split grain,
+// and chunk-kernel eligibility — is decided HERE, once, and recorded in
+// an ExecutionPlan value. Terminal evaluation (streams/parallel_eval.hpp),
+// the typed static pipeline, the multiway collect, and the PowerList
+// adaptation layer all plan-then-execute: they ask plan_fused_pipeline()
+// (or one of the single-home predicates below) and obey the verdicts,
+// instead of re-deriving routing at each entry point.
 //
-// The plan is pure data: source shape, stage summary, a fusion verdict
-// with its reason, a DPS verdict with its reason, the drive mode, the
-// resolved grain, and the kernel selection. explain() renders it for
-// humans; bench JSON carries it as plan_* fields; the last plan of the
-// calling thread is kept for ExecutionReport / pls::session::explain().
+// Fusion itself is not a decision: every pipeline runs fused. The fuse
+// step strips the fusable wrappers and adopts whatever layer stops the
+// strip as the fused pipeline's source (streams/fusion.hpp).
+//
+// The plan is pure data: source shape, stage summary, a DPS verdict with
+// its reason, the drive mode, the resolved grain, and the kernel
+// selection. explain() renders it for humans; bench JSON carries it as
+// plan_* fields; the last plan of the calling thread is kept for
+// ExecutionReport / pls::session::explain().
 //
 // On top of the plan sits the first slice of adaptive execution (ROADMAP
 // item 5): a process-global PlanCache keyed by pipeline shape. Profiled
@@ -85,10 +88,6 @@ struct ExecutionConfig {
   /// and collector qualify. Off forces the supplier/combiner path — used
   /// by the fallback-equivalence tests and the A/B benches.
   bool sized_sink = true;
-  /// Permit the push-mode fusion engine for terminal evaluation when the
-  /// pipeline qualifies (streams/fusion.hpp). Off forces the wrapper
-  /// (pull-mode) walk — the differential-testing and A/B-bench toggle.
-  bool fusion = true;
   /// Let the planner consume PlanCache profiles to pick min_chunk when
   /// it was left 0. Also enabled process-wide by PLS_AUTO_GRAIN=1.
   bool auto_grain = false;
@@ -114,10 +113,6 @@ struct ExecutionConfig {
   }
   ExecutionConfig& with_sized_sink(bool enabled) {
     sized_sink = enabled;
-    return *this;
-  }
-  ExecutionConfig& with_fusion(bool enabled) {
-    fusion = enabled;
     return *this;
   }
   ExecutionConfig& with_auto_grain(bool enabled) {
@@ -232,7 +227,6 @@ inline const char* kernel_name(KernelMode m) {
 enum class PlanOrigin : std::uint8_t {
   kDynamic,        ///< Stream terminal through evaluate()
   kStatic,         ///< StaticPipeline, fused with its compiled stage stack
-  kStaticFallback, ///< StaticPipeline dissolved into the dynamic stream
   kSynthesized,    ///< skeleton executor (no stream pipeline)
   kService,        ///< ServiceSession micro-batch through a reused chain
 };
@@ -241,7 +235,6 @@ inline const char* origin_name(PlanOrigin o) {
   switch (o) {
     case PlanOrigin::kDynamic: return "dynamic";
     case PlanOrigin::kStatic: return "static";
-    case PlanOrigin::kStaticFallback: return "static-fallback";
     case PlanOrigin::kSynthesized: return "synthesized";
     case PlanOrigin::kService: return "service";
   }
@@ -260,7 +253,6 @@ enum class PlanReason : std::uint8_t {
   kChainNotOneToOne,
   kChainCancels,
   kChainStateful,
-  kChainNotFusable,
   kCollectorNotSized,
   kTerminalNotCollect,
   kNotAStreamPipeline,
@@ -281,8 +273,6 @@ inline const char* reason_name(PlanReason r) {
     case PlanReason::kChainCancels: return "chain has a cancelling stage";
     case PlanReason::kChainStateful:
       return "chain has a stateful stage (single-leaf drive only)";
-    case PlanReason::kChainNotFusable:
-      return "a wrapper or the source refused fusion";
     case PlanReason::kCollectorNotSized:
       return "collector is not a sized sink";
     case PlanReason::kTerminalNotCollect: return "terminal is not collect";
@@ -322,24 +312,20 @@ struct ExecutionPlan {
   bool parallel = false;
   unsigned parallelism = 1;
 
-  // Source shape, as seen by the chosen route (fused: the stripped
-  // source; legacy: the outermost wrapper with its delegated window).
+  // Shape of the fused pipeline's source (the layer the strip stopped at).
   std::uint64_t source_size = 0;
   bool sized = false;
   bool subsized = false;
   bool windowed = false;
   bool power_of_two = false;
 
-  // Stage summary. Fused chains report their stripped stage chain;
-  // wrapper chains are opaque (stages == 0, flags at their defaults).
+  // Stage summary of the stripped chain.
   std::uint32_t stages = 0;
   bool one_to_one = true;
   bool cancels = false;
   bool stateful = false;
 
-  // Verdicts, each with the first failed admission test as its reason.
-  bool fused = false;
-  PlanReason fusion_reason = PlanReason::kAdmitted;
+  // DPS verdict, with the first failed admission test as its reason.
   bool dps = false;
   PlanReason dps_reason = PlanReason::kAdmitted;
   std::optional<OutputWindow> window{};  ///< set iff dps
@@ -365,16 +351,15 @@ struct ExecutionPlan {
     if (power_of_two) os << ", power-of-two";
     os << '\n';
     os << "  stages : ";
-    if (fused) {
+    if (origin == PlanOrigin::kSynthesized) {
+      os << "none (skeleton executor)";
+    } else {
       os << stages << " fused (" << (one_to_one ? "1:1" : "non-1:1") << ", "
          << (cancels ? "cancelling" : "non-cancelling");
       if (stateful) os << ", stateful";
       os << ")";
-    } else {
-      os << "wrapper chain (opaque to the planner)";
     }
     os << '\n';
-    os << "  fusion : " << reason_name(fusion_reason) << '\n';
     os << "  dps    : " << reason_name(dps_reason);
     if (dps && window.has_value()) {
       os << " (window start=" << window->start << " incr=" << window->incr
@@ -394,35 +379,23 @@ struct ExecutionPlan {
 
 // ---- admission predicates (the single home) --------------------------
 
-/// Shape test shared by fusion-source admission and DPS admission: the
-/// source must be exactly sized through splits (SIZED|SUBSIZED) and name
-/// a destination window consistent with its size.
-inline PlanReason source_shape_reason(bool sized_subsized,
-                                      const std::optional<OutputWindow>& w,
-                                      std::uint64_t estimate) {
-  if (!sized_subsized) return PlanReason::kSourceNotSizedSubsized;
-  if (!w.has_value()) return PlanReason::kSourceNotWindowed;
-  if (w->count != estimate) return PlanReason::kWindowCountMismatch;
-  return PlanReason::kAdmitted;
-}
-
-/// DPS admission adds the power-of-two test (the shape whose tie/zip
-/// splits the window arithmetic mirrors).
+/// DPS source admission: the source must be exactly sized through splits
+/// (SIZED|SUBSIZED), name a destination window consistent with its size,
+/// and hold a power of two elements (the shape whose tie/zip splits the
+/// window arithmetic mirrors).
 inline PlanReason dps_window_reason(bool sized_subsized,
                                     const std::optional<OutputWindow>& w,
                                     std::uint64_t estimate) {
-  const PlanReason shape = source_shape_reason(sized_subsized, w, estimate);
-  if (shape != PlanReason::kAdmitted) return shape;
+  if (!sized_subsized) return PlanReason::kSourceNotSizedSubsized;
+  if (!w.has_value()) return PlanReason::kSourceNotWindowed;
+  if (w->count != estimate) return PlanReason::kWindowCountMismatch;
   if (!is_power_of_two(w->count)) return PlanReason::kNotPowerOfTwo;
   return PlanReason::kAdmitted;
 }
 
-/// Admission check for the destination-passing collect over a wrapper
-/// pipeline (pull path): the outermost spliterator must be exactly sized,
-/// keep exact sizes through splits, name a destination window consistent
-/// with its size (only all-1:1 chains delegate one), and hold a power of
-/// two elements. Anything else collects through the supplier/combiner
-/// path.
+/// DPS admission over a bare spliterator (the multiway collect and the
+/// routing tests): the spliterator must pass dps_window_reason; 1:1
+/// wrappers delegate their upstream's window, anything else names none.
 template <typename T>
 std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
   const auto w = output_window_of(sp);
@@ -433,77 +406,36 @@ std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
   return w;
 }
 
-/// The fused twin: the chain must be 1:1 (so source position == result
-/// position) and non-cancelling; the source must pass the same window
-/// tests. Wrappers admit through delegated windows, which only 1:1
-/// chains provide, so both overloads admit the same pipelines.
-inline std::optional<OutputWindow> plan_dps_window(const FusedPipeline& fp) {
-  if (!fp.one_to_one() || fp.cancels() || fp.stateful()) return std::nullopt;
-  const auto w = fp.source_window();
-  if (dps_window_reason(true, w, fp.estimate_size()) !=
-      PlanReason::kAdmitted) {
-    return std::nullopt;
-  }
-  return w;
-}
-
 // ---- the fuse step ---------------------------------------------------
 
-/// Source admission for fusion: the source_shape_reason test. This rules
-/// out concat (no window), a partially-consumed flat_map product at the
-/// bottom of a stripped chain (no window), and the unsized iterate tail
-/// (no kSized).
+/// Adopt `sp` as the source of a stage-free fused pipeline — the
+/// pull-to-push leaf adapter. Any spliterator qualifies: drive_bulk takes
+/// contiguous chunks when the source offers them and otherwise buffers
+/// for_each_remaining into kFusionChunk batches.
 template <typename T>
 std::unique_ptr<FusedPipeline> fuse_source(
     std::unique_ptr<Spliterator<T>>& sp) {
-  if (source_shape_reason(sp->has(kSized | kSubsized), output_window_of(*sp),
-                          sp->estimate_size()) != PlanReason::kAdmitted) {
-    return nullptr;
-  }
   return std::make_unique<FusedPipelineImpl<T>>(std::move(sp));
 }
 
 /// Fuse the pipeline rooted at `sp` (the outermost wrapper or the bare
-/// source). On success the pipeline is consumed (`sp` becomes null) and
-/// the fused form is returned; on failure `sp` is untouched and nullptr
-/// is returned — the caller evaluates through the wrapper path.
+/// source), consuming it. Fusable wrappers are stripped outermost-in;
+/// the first layer that is not a FusableStage, or whose
+/// strip_into_fused() refuses, becomes the fused pipeline's source. So
+/// this never fails.
 template <typename T>
 std::unique_ptr<FusedPipeline> fuse_pipeline(
     std::unique_ptr<Spliterator<T>>& sp) {
-  if (sp == nullptr) return nullptr;
+  PLS_CHECK(sp != nullptr, "fuse_pipeline requires a source");
   if (auto* stage = dynamic_cast<FusableStage*>(sp.get())) {
-    auto fused = stage->strip_into_fused();
-    if (fused != nullptr) {
+    if (auto fused = stage->strip_into_fused()) {
       PLS_CHECK(fused->output_type() == typeid(T),
                 "fused pipeline output type does not match the terminal");
       sp.reset();
+      return fused;
     }
-    return fused;
   }
   return fuse_source(sp);
-}
-
-/// The static pipeline's fuse-or-fallback decision (its only admission
-/// question): strip the bound source iff fusion is enabled. On nullptr
-/// the static pipeline dissolves into the dynamic stream, which plans
-/// with PlanOrigin::kStaticFallback.
-template <typename S>
-std::unique_ptr<FusedPipeline> plan_static_fuse(
-    std::unique_ptr<Spliterator<S>>& sp, const ExecutionConfig& cfg) {
-  if (!cfg.fusion) return nullptr;
-  return fuse_pipeline<S>(sp);
-}
-
-/// Why fuse_pipeline refused `sp` (for the plan's fusion_reason; the
-/// strip walk itself reports only success/failure).
-template <typename T>
-PlanReason fusion_refusal_reason(const Spliterator<T>& sp) {
-  if (dynamic_cast<const FusableStage*>(&sp) != nullptr) {
-    return PlanReason::kChainNotFusable;
-  }
-  const PlanReason shape = source_shape_reason(
-      sp.has(kSized | kSubsized), output_window_of(sp), sp.estimate_size());
-  return shape != PlanReason::kAdmitted ? shape : PlanReason::kChainNotFusable;
 }
 
 // ---- grain policy ----------------------------------------------------
@@ -707,31 +639,30 @@ inline std::uint64_t plan_cache_key(TerminalKind kind,
 namespace detail {
 
 /// Resolve grain, drive, kernel and cache key once the verdict fields
-/// are in place — shared tail of both plan builders.
+/// are in place.
 inline void finish_plan(ExecutionPlan& p, TerminalKind kind,
                         bool chunk_collector, bool parallel,
                         const ExecutionConfig& cfg) {
   p.terminal = kind;
   p.parallel = parallel;
-  p.kernel = (p.fused && kind == TerminalKind::kCollect && chunk_collector &&
-              !p.dps && !p.cancels)
+  p.kernel = (kind == TerminalKind::kCollect && chunk_collector && !p.dps &&
+              !p.cancels)
                  ? KernelMode::kChunkKernel
                  : KernelMode::kScalarLoop;
-  // Short-circuit terminals cancel through their terminal sink; fused
-  // they always run the single element-mode push loop (sequential
-  // encounter-order semantics, exactly like the legacy pull loops).
+  // Short-circuit terminals cancel through their terminal sink: they
+  // always run the single element-mode push loop (sequential
+  // encounter-order semantics).
   const bool terminal_cancels = terminal_short_circuits(kind);
   if (!parallel) {
-    p.drive = (p.fused && terminal_cancels) ? DriveMode::kElementLoop
-                                            : DriveMode::kSequential;
+    p.drive = terminal_cancels ? DriveMode::kElementLoop
+                               : DriveMode::kSequential;
     p.grain = 0;
     p.grain_source = GrainSource::kNone;
     return;
   }
-  p.drive = (p.fused && (p.cancels || terminal_cancels))
-                ? DriveMode::kElementLoop
-            : (p.fused && p.stateful) ? DriveMode::kStatefulLoop
-                                      : DriveMode::kForkJoinTree;
+  p.drive = (p.cancels || terminal_cancels) ? DriveMode::kElementLoop
+            : p.stateful                    ? DriveMode::kStatefulLoop
+                                            : DriveMode::kForkJoinTree;
   p.parallelism = cfg.effective_pool().parallelism();
   p.cache_key = plan_cache_key(kind, p.source_size, p.parallelism, p.stages,
                                p.one_to_one, p.cancels, p.stateful);
@@ -753,7 +684,7 @@ inline void finish_plan(ExecutionPlan& p, TerminalKind kind,
 }  // namespace detail
 
 /// Plan a terminal over an already-stripped FusedPipeline (the static
-/// pipeline's entry; also the tail of plan_pipeline on fusion success).
+/// pipeline's entry; also the tail of plan_pipeline).
 /// `collector_sized` / `chunk_collector` are the compile-time collector
 /// facts of the terminal, evaluated at the call site.
 inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
@@ -765,8 +696,8 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   ExecutionPlan p;
   p.origin = origin;
   p.source_size = fp.estimate_size();
-  p.sized = true;  // fusion admission requires SIZED|SUBSIZED
-  p.subsized = true;
+  p.sized = fp.source_has(kSized);
+  p.subsized = fp.source_has(kSubsized);
   const auto w = fp.source_window();
   p.windowed = w.has_value();
   p.power_of_two = w.has_value() && is_power_of_two(w->count);
@@ -774,8 +705,6 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   p.one_to_one = fp.one_to_one();
   p.cancels = fp.cancels();
   p.stateful = fp.stateful();
-  p.fused = true;
-  p.fusion_reason = PlanReason::kAdmitted;
   if (kind != TerminalKind::kCollect) {
     p.dps_reason = PlanReason::kTerminalNotCollect;
   } else if (!collector_sized) {
@@ -789,7 +718,8 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   } else if (p.cancels) {
     p.dps_reason = PlanReason::kChainCancels;
   } else {
-    p.dps_reason = dps_window_reason(true, w, fp.estimate_size());
+    p.dps_reason = dps_window_reason(p.sized && p.subsized, w,
+                                     fp.estimate_size());
     if (p.dps_reason == PlanReason::kAdmitted) {
       p.dps = true;
       p.window = w;
@@ -799,19 +729,16 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   return p;
 }
 
-/// A planned pipeline: the plan plus, when fusion was admitted, the
-/// stripped fused form (in which case the source pointer the caller
-/// passed to plan_pipeline has been consumed).
+/// A planned pipeline: the plan plus the stripped fused form.
 struct PlannedPipeline {
   ExecutionPlan plan;
-  std::unique_ptr<FusedPipeline> fused;  ///< non-null iff plan.fused
+  std::unique_ptr<FusedPipeline> fused;
 };
 
-/// THE planning entry point: decide every admission question for the
-/// pipeline rooted at `sp` — fusion (attempting the strip), DPS, drive
-/// mode, grain (including auto-grain), kernel — and return the verdicts
-/// as data. On fusion admission `sp` is consumed and `fused` returned;
-/// otherwise `sp` is untouched and the caller runs the wrapper walk.
+/// THE planning entry point: fuse the pipeline rooted at `sp` (consuming
+/// it), then decide every admission question over the fused form — DPS,
+/// drive mode, grain (including auto-grain), kernel — and return the
+/// verdicts as data together with the fused pipeline to run.
 template <typename T>
 PlannedPipeline plan_pipeline(std::unique_ptr<Spliterator<T>>& sp,
                               TerminalKind kind, bool collector_sized,
@@ -820,37 +747,9 @@ PlannedPipeline plan_pipeline(std::unique_ptr<Spliterator<T>>& sp,
                               PlanOrigin origin = PlanOrigin::kDynamic) {
   PLS_CHECK(sp != nullptr, "plan_pipeline requires a source");
   PlannedPipeline out;
-  if (cfg.fusion) out.fused = fuse_pipeline<T>(sp);
-  if (out.fused != nullptr) {
-    out.plan = plan_fused_pipeline(*out.fused, kind, collector_sized,
-                                   chunk_collector, parallel, cfg, origin);
-    return out;
-  }
-  ExecutionPlan& p = out.plan;
-  p.origin = origin;
-  p.source_size = sp->estimate_size();
-  p.sized = sp->has(kSized);
-  p.subsized = sp->has(kSubsized);
-  const auto w = output_window_of(*sp);
-  p.windowed = w.has_value();
-  p.power_of_two = w.has_value() && is_power_of_two(w->count);
-  p.fusion_reason = !cfg.fusion ? PlanReason::kDisabledByConfig
-                                : fusion_refusal_reason(*sp);
-  if (kind != TerminalKind::kCollect) {
-    p.dps_reason = PlanReason::kTerminalNotCollect;
-  } else if (!collector_sized) {
-    p.dps_reason = PlanReason::kCollectorNotSized;
-  } else if (!cfg.sized_sink) {
-    p.dps_reason = PlanReason::kDisabledByConfig;
-  } else {
-    p.dps_reason =
-        dps_window_reason(sp->has(kSized | kSubsized), w, sp->estimate_size());
-    if (p.dps_reason == PlanReason::kAdmitted) {
-      p.dps = true;
-      p.window = w;
-    }
-  }
-  detail::finish_plan(p, kind, chunk_collector, parallel, cfg);
+  out.fused = fuse_pipeline<T>(sp);
+  out.plan = plan_fused_pipeline(*out.fused, kind, collector_sized,
+                                 chunk_collector, parallel, cfg, origin);
   return out;
 }
 
@@ -906,10 +805,8 @@ class RunScope {
     rec.drive = drive_name(plan_.drive);
     rec.grain_source = grain_source_name(plan_.grain_source);
     rec.kernel = kernel_name(plan_.kernel);
-    rec.fusion_reason = reason_name(plan_.fusion_reason);
     rec.dps_reason = reason_name(plan_.dps_reason);
     rec.parallel = plan_.parallel;
-    rec.fused = plan_.fused;
     rec.dps = plan_.dps;
     rec.parallelism = plan_.parallelism;
     rec.source_size = plan_.source_size;

@@ -217,6 +217,22 @@ class ConcatSpliterator final : public Spliterator<T> {
     second_->for_each_remaining(action);
   }
 
+  /// Forwards to the first part until it is exhausted, then to the
+  /// second. A non-contiguous first part yields {nullptr, 0}, leaving the
+  /// rest to for_each_remaining.
+  std::pair<const T*, std::size_t> try_contiguous_chunk(
+      std::size_t max_n) override {
+    if (first_ != nullptr) {
+      const auto chunk = first_->try_contiguous_chunk(max_n);
+      if (chunk.first != nullptr) return chunk;
+      if (!first_->has(kSized) || first_->estimate_size() != 0) {
+        return {nullptr, 0};
+      }
+      first_.reset();
+    }
+    return second_->try_contiguous_chunk(max_n);
+  }
+
   std::unique_ptr<Spliterator<T>> try_split() override {
     if (first_ != nullptr) {
       return std::move(first_);  // the prefix is exactly the first part

@@ -24,10 +24,9 @@
 // driving, which would erase the whole point of the static chain; spell
 // those with the dynamic Stream API (docs/execution.md has the admission
 // table). Stateful stages (distinct, sorted) are likewise dynamic-only:
-// they carry runtime state that defeats splitting. Source
-// shape admission (windowed, SIZED|SUBSIZED) stays a runtime question, and
-// on refusal the pipeline falls back to the dynamic wrapper path with the
-// same ops applied — same results, slower transport.
+// they carry runtime state that defeats splitting. Any source works: the
+// fuse step adopts whatever layer stops the strip as the fused source,
+// and the static stack runs on top of it.
 //
 // Entry points:
 //   pls::pipe(stages::map(f), stages::filter(p), ...).over(vec)...
@@ -337,8 +336,7 @@ class StaticChainStage final : public StageNode {
 /// A single-use pipeline whose stage list is part of its type. Mirrors
 /// Stream's execution builders and terminals; on terminal evaluation it
 /// fuses the source, appends the one StaticChainStage, and runs the
-/// unified terminal dispatch. When the source refuses fusion (or fusion is
-/// disabled) it falls back to the dynamic wrapper path with identical ops.
+/// unified terminal dispatch.
 template <typename S, typename... Ops>
 class StaticPipeline {
  public:
@@ -407,11 +405,6 @@ class StaticPipeline {
     return std::move(*this);
   }
 
-  StaticPipeline&& with_fusion(bool enabled) && {
-    config_.with_fusion(enabled);
-    return std::move(*this);
-  }
-
   const ExecutionConfig& config() const noexcept { return config_; }
 
   // ---- growing the stack ---------------------------------------------
@@ -461,8 +454,8 @@ class StaticPipeline {
         terminals::collect(VectorCollector<value_type>{}));
   }
 
-  /// Dissolve into the equivalent dynamic stream (the documented fallback
-  /// form): same ops as wrapper spliterators, same settings.
+  /// Dissolve into the equivalent dynamic stream: same ops as wrapper
+  /// spliterators, same settings.
   Stream<value_type> to_stream() && {
     Stream<S> s(std::move(source_), parallel_);
     s.config_ = config_;
@@ -473,22 +466,17 @@ class StaticPipeline {
   template <typename S2, typename... Ops2>
   friend class StaticPipeline;
 
-  /// Unified terminal drive: static-fused when the source admits fusion,
-  /// dynamic wrapper evaluation otherwise.
+  /// Unified terminal drive: fuse the bound source, append the static
+  /// stack as one stage, evaluate.
   template <typename Term>
   auto run(const Term& term) && {
     PLS_CHECK(source_ != nullptr, "StaticPipeline is single-use");
-    if (auto fused = plan_static_fuse<S>(source_, config_)) {
-      if constexpr (sizeof...(Ops) > 0) {
-        fused->append_stage(
-            std::make_shared<StaticChainStage<S, Ops...>>(ops_));
-      }
-      return evaluate_fused<value_type>(*fused, term, parallel_, config_,
-                                        PlanOrigin::kStatic);
+    auto fused = fuse_pipeline<S>(source_);
+    if constexpr (sizeof...(Ops) > 0) {
+      fused->append_stage(std::make_shared<StaticChainStage<S, Ops...>>(ops_));
     }
-    auto s = std::move(*this).to_stream();
-    return evaluate(s.source_, term, s.parallel_, s.config_,
-                    PlanOrigin::kStaticFallback);
+    return evaluate_fused<value_type>(*fused, term, parallel_, config_,
+                                      PlanOrigin::kStatic);
   }
 
   template <std::size_t I, typename Cur>

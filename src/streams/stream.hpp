@@ -69,9 +69,7 @@ class SliceSpliterator final : public Spliterator<T>, public FusableStage {
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<SliceStage<T>>(skip_, limit_));
-    }
+    fused->append_stage(std::make_shared<SliceStage<T>>(skip_, limit_));
     return fused;
   }
 
@@ -120,10 +118,8 @@ class TakeWhileSpliterator final : public Spliterator<T>,
 
   std::unique_ptr<FusedPipeline> strip_into_fused() override {
     auto fused = fuse_pipeline<T>(upstream_);
-    if (fused != nullptr) {
-      fused->append_stage(std::make_shared<TakeWhileStage<T, Pred>>(
-          std::make_shared<const Pred>(pred_)));
-    }
+    fused->append_stage(std::make_shared<TakeWhileStage<T, Pred>>(
+        std::make_shared<const Pred>(pred_)));
     return fused;
   }
 
@@ -133,7 +129,9 @@ class TakeWhileSpliterator final : public Spliterator<T>,
   bool done_ = false;
 };
 
-/// dropWhile wrapper: skips the failing-prefix, then passes through.
+/// dropWhile wrapper: skips the failing-prefix, then passes through. Not
+/// a FusableStage: at a terminal it becomes the fused pipeline's source,
+/// and the stages above it fuse.
 template <typename T, typename Pred>
 class DropWhileSpliterator final : public Spliterator<T> {
  public:
@@ -256,7 +254,7 @@ class Stream {
     return std::move(*this);
   }
   /// Parallel with an explicit execution config (pool, chunk target,
-  /// sized-sink and fusion toggles), e.g. the one handed out by
+  /// sized-sink toggle), e.g. the one handed out by
   /// pls::session::stream_config().
   Stream<T>&& parallel(const ExecutionConfig& cfg) && {
     parallel_ = true;
@@ -290,16 +288,8 @@ class Stream {
     return std::move(*this);
   }
 
-  /// Allow or forbid pipeline fusion (on by default; see
-  /// docs/execution.md, "Pipeline fusion"). Off forces terminals through
-  /// the per-element wrapper walk.
-  Stream<T>&& with_fusion(bool enabled) && {
-    config_.with_fusion(enabled);
-    return std::move(*this);
-  }
-
   /// Replace the whole execution configuration at once (pool, grain,
-  /// sized-sink, fusion, auto-grain) — the bulk form of the with_*
+  /// sized-sink, auto-grain) — the bulk form of the with_*
   /// setters above, for callers that already hold an ExecutionConfig.
   Stream<T>&& with_config(const ExecutionConfig& cfg) && {
     config_ = cfg;
@@ -461,10 +451,10 @@ class Stream {
   }
 
   /// Short-circuit search terminals (sequential encounter-order
-  /// traversal). Planned like every other terminal: fused chains run a
-  /// cancelling terminal sink through the element-mode push loop
-  /// (DriveMode::kElementLoop) with legacy-identical source-consumption
-  /// depth; unfused chains run the classic pull loops.
+  /// traversal). Planned like every other terminal: a cancelling terminal
+  /// sink runs through the element-mode push loop
+  /// (DriveMode::kElementLoop), pulling no source element past the one
+  /// that decides the answer.
   template <typename Pred>
   bool any_match(Pred pred) && {
     return evaluate(source_, terminals::any_match(pred), parallel_, config_);

@@ -51,20 +51,20 @@ TEST(Facade, StreamConfigCarriesPoolAndGrain) {
 TEST(Facade, StreamConfigRoundTripsAllStreamOptionsLosslessly) {
   // Every stream-relevant session option must survive into the
   // ExecutionConfig — a config knob that silently drops out here is a
-  // routing bug (the DPS/fusion toggles would be ignored).
+  // routing bug (the DPS toggle would be ignored).
   for (const bool sized_sink : {false, true}) {
-    for (const bool fusion : {false, true}) {
+    for (const bool auto_grain : {false, true}) {
       pls::config cfg;
       cfg.parallelism = 2;
       cfg.grain = 32;
       cfg.sized_sink = sized_sink;
-      cfg.fusion = fusion;
+      cfg.auto_grain = auto_grain;
       pls::run(cfg, [&](pls::session& s) {
         const auto ec = s.stream_config();
         EXPECT_EQ(ec.pool, &s.pool());
         EXPECT_EQ(ec.min_chunk, 32u);
         EXPECT_EQ(ec.sized_sink, sized_sink);
-        EXPECT_EQ(ec.fusion, fusion);
+        EXPECT_EQ(ec.auto_grain, auto_grain);
         return 0;
       });
     }
@@ -77,11 +77,11 @@ TEST(Facade, SharedBuilderChainsOnExecutionConfig) {
                       .with_pool(pool)
                       .with_min_chunk(7)
                       .with_sized_sink(false)
-                      .with_fusion(false);
+                      .with_auto_grain(true);
   EXPECT_EQ(ec.pool, &pool);
   EXPECT_EQ(ec.min_chunk, 7u);
   EXPECT_FALSE(ec.sized_sink);
-  EXPECT_FALSE(ec.fusion);
+  EXPECT_TRUE(ec.auto_grain);
 }
 
 TEST(Facade, StreamPipelineThroughSession) {

@@ -1,15 +1,15 @@
-// Fusion differential suite: generated pipelines over every op the
-// planner admits — map variants, peek, filter, limit, take_while,
-// flat_map, distinct, sorted — over Array/Range/Generate sources must
-// collect bit-identical vectors with fusion on and off, across the
-// sequential fold, the fork-join supplier/combiner reduction, and the
-// destination-passing collect — including identical short-circuit
-// consumption depth, observed through a counting peek injected below the
-// cancelling stages. The tentpole property drives each generated shape
-// through 6 mode combinations over >= 200 iterations (1200+ pipeline x
-// mode combinations), plus a routing property asserting the fusion
-// admission gate mirrors expects_fusion_admission.
-// (Match/find terminals and their consumption-depth parity live in
+// Fusion differential suite: generated pipelines over every op — map
+// variants, peek, filter, limit, take_while, flat_map, distinct, sorted,
+// drop_while — over Array/Range/Generate/Concat/Iterate sources must
+// collect exactly the vectors the plain-loop reference interpreter
+// (reference_result) computes, across the sequential fold, the fork-join
+// supplier/combiner reduction, and the destination-passing collect. The
+// short-circuit consumption depth, observed through a counting peek
+// injected below the generated ops, must equal reference_source_pulls.
+// The tentpole property drives each generated shape through 3 modes over
+// >= 200 iterations, plus routing and counter properties: every leaf runs
+// fused, and reports the element count the reference predicts.
+// (Match/find terminals and their consumption depth live in
 // fusion_wide_test.cpp.)
 #include <gtest/gtest.h>
 
@@ -40,13 +40,12 @@ std::uint64_t chunk_for(const PipelineShape& s, Rand& r) {
   return 1 + r.below(8);
 }
 
-/// The tentpole property: with_fusion(true) == with_fusion(false), bit
-/// for bit, in every execution mode.
+/// The tentpole property: the fused evaluator equals the reference
+/// interpreter, bit for bit, in every execution mode.
 TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "with_fusion(true) == with_fusion(false) x {seq, fj, dps}",
-      suite_config(200),
+      "fused == reference x {seq, fj, dps}", suite_config(200),
       [](Rand& r) {
         PipelineShape s = gen_pipeline(r, 9);
         return std::make_pair(s, r.bits());
@@ -66,24 +65,17 @@ TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
         for (const bool parallel : {false, true}) {
           for (const bool sized_sink : {false, true}) {
             if (!parallel && sized_sink) continue;  // same sequential route
-            std::vector<std::int64_t> got[2];
-            for (const bool fusion : {false, true}) {
-              auto stream = build_stream(s)
-                                .with_fusion(fusion)
-                                .with_sized_sink(sized_sink);
-              if (parallel) {
-                stream = std::move(stream).parallel().via(pool).with_min_chunk(
-                    chunk);
-              }
-              got[fusion ? 1 : 0] = std::move(stream).to_vector();
+            auto stream = build_stream(s).with_sized_sink(sized_sink);
+            if (parallel) {
+              stream = std::move(stream).parallel().via(pool).with_min_chunk(
+                  chunk);
             }
-            if (got[1] != expected || got[0] != expected) {
+            if (std::move(stream).to_vector() != expected) {
               return PropStatus::fail(
                   std::string(parallel ? "parallel" : "sequential") +
                   (sized_sink ? "+dps" : "") +
-                  (got[1] != expected ? " fused" : " legacy") +
                   " route diverged from reference (min_chunk=" +
-                  std::to_string(chunk) + ")");
+                  std::to_string(chunk) + "): " + s.debug_string());
             }
           }
         }
@@ -92,151 +84,112 @@ TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Short-circuit parity: a counting peek placed *before* the generated
-/// ops sees every element the evaluator pulls out of the source. For
-/// cancelling chains (limit/take_while) the fused cancellable driver must
-/// pull exactly as many as the legacy wrapper walk.
+/// Short-circuit depth: a counting peek placed *before* the generated ops
+/// sees every element the evaluator pulls out of the source. For
+/// cancelling chains (limit/take_while) the cancellable driver must pull
+/// exactly as many as the reference streaming model predicts.
 TEST(FusionDifferential, CancellationConsumptionDepthMatchesLegacy) {
   const auto result = check(
-      "fused source consumption == legacy source consumption",
-      suite_config(200), [](Rand& r) { return gen_pipeline(r, 9); },
+      "fused source consumption == reference pulls", suite_config(200),
+      [](Rand& r) { return gen_pipeline(r, 9); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
-        std::uint64_t pulls[2] = {0, 0};
-        std::vector<std::int64_t> got[2];
-        for (const bool fusion : {false, true}) {
-          std::uint64_t& n = pulls[fusion ? 1 : 0];
-          auto probed = build_source(s).with_fusion(fusion).peek(
-              [&n](const std::int64_t&) { ++n; });
-          got[fusion ? 1 : 0] =
-              apply_ops(std::move(probed), s).to_vector();
+        std::uint64_t pulls = 0;
+        auto probed =
+            build_source(s).peek([&pulls](const std::int64_t&) { ++pulls; });
+        if (apply_ops(std::move(probed), s).to_vector() !=
+            reference_result(s)) {
+          return PropStatus::fail("probed result diverged from reference: " +
+                                  s.debug_string());
         }
-        if (got[1] != got[0]) {
-          return PropStatus::fail("fused result diverged from legacy");
-        }
-        if (pulls[1] != pulls[0]) {
+        const std::uint64_t expected =
+            reference_source_pulls(s, [](std::int64_t) { return false; });
+        if (pulls != expected) {
           return PropStatus::fail(
-              "fused pipeline consumed " + std::to_string(pulls[1]) +
-              " source elements, legacy consumed " +
-              std::to_string(pulls[0]));
+              "pipeline consumed " + std::to_string(pulls) +
+              " source elements, reference consumes " +
+              std::to_string(expected) + ": " + s.debug_string());
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// Routing property (mirrors the DPS admission property): every generated
-/// shape is built from fusable ops over windowed sized sources, so the
-/// fuse step must admit exactly expects_fusion_admission — observable
-/// through the fused_leaves counter.
+/// Routing property: fusion is total, so every leaf of every generated
+/// shape — concat, iterate and drop_while sources included — must run as
+/// a fused sink chain, observable through the fused_leaves counter.
 TEST(FusionDifferential, FusionAdmissionMatchesPredicate) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
   }
   const auto result = check(
-      "fused_leaves > 0 == expects_fusion_admission", suite_config(100),
+      "fused_leaves == leaf_chunks == 1 (sequential)", suite_config(100),
       [](Rand& r) { return gen_pipeline(r, 8); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
         const auto before = pls::observe::aggregate_counters();
-        (void)build_stream(s).with_fusion(true).to_vector();
+        (void)build_stream(s).to_vector();
         const auto delta = pls::observe::aggregate_counters() - before;
-        const bool fused = delta.fused_leaves > 0;
-        if (fused != expects_fusion_admission(s)) {
+        if (delta.leaf_chunks != 1 || delta.fused_leaves != 1) {
           return PropStatus::fail(
-              fused ? "non-fusible pipeline ran fused"
-                    : "fusible pipeline fell back to the wrapper walk");
-        }
-        const auto before_off = pls::observe::aggregate_counters();
-        (void)build_stream(s).with_fusion(false).to_vector();
-        const auto delta_off =
-            pls::observe::aggregate_counters() - before_off;
-        if (delta_off.fused_leaves != 0) {
-          return PropStatus::fail("with_fusion(false) still ran fused");
+              "sequential run had " + std::to_string(delta.leaf_chunks) +
+              " leaves, " + std::to_string(delta.fused_leaves) +
+              " fused: " + s.debug_string());
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// Counter parity: fused leaves must feed elements_accumulated the same
-/// totals legacy leaves do (transform_count mirrors the wrappers' sizing),
-/// so observability reports stay comparable across routes. Shapes where a
-/// sorted stage sits below a size-obscuring op (filter/take_while/
-/// flat_map/distinct) are skipped: sorted's buffer recovers the exact
-/// count, so the fused restart reports it while the legacy wrapper walk
-/// already lost sizing upstream — a deliberate sizing improvement, not a
-/// parity bug.
-bool sorted_recovers_obscured_size(const PipelineShape& s) {
-  bool sized = true;
-  for (const PipelineOp& op : s.ops) {
-    switch (op.kind) {
-      case OpKind::kFilter:
-      case OpKind::kTakeWhile:
-      case OpKind::kFlatMap:
-      case OpKind::kDistinct:
-        sized = false;
-        break;
-      case OpKind::kSorted:
-        if (!sized) return true;
-        sized = true;
-        break;
-      default:
-        break;  // map variants, peek, limit keep sizing as-is
-    }
-  }
-  return false;
-}
-
+/// Counter parity: fused leaves must feed elements_accumulated the count
+/// the outermost wrapper reports when it is SIZED (transform_count mirrors
+/// the wrappers' sizing), and 0 over unsized sources — the total
+/// expected_leaf_elements derives from the shape alone.
 TEST(FusionDifferential, FusedLeafElementTotalsMatchLegacy) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
   }
   const auto result = check(
-      "fused elements_accumulated == legacy elements_accumulated",
-      suite_config(80), [](Rand& r) { return gen_pipeline(r, 8); },
+      "elements_accumulated == expected_leaf_elements", suite_config(80),
+      [](Rand& r) { return gen_pipeline(r, 8); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
-        if (sorted_recovers_obscured_size(s)) return PropStatus::pass();
-        std::uint64_t elements[2] = {0, 0};
-        for (const bool fusion : {false, true}) {
-          const auto before = pls::observe::aggregate_counters();
-          (void)build_stream(s).with_fusion(fusion).to_vector();
-          const auto delta = pls::observe::aggregate_counters() - before;
-          elements[fusion ? 1 : 0] = delta.elements_accumulated;
-        }
-        if (elements[1] != elements[0]) {
+        const auto before = pls::observe::aggregate_counters();
+        (void)build_stream(s).to_vector();
+        const auto delta = pls::observe::aggregate_counters() - before;
+        const std::uint64_t expected = expected_leaf_elements(s);
+        if (delta.elements_accumulated != expected) {
           return PropStatus::fail(
-              "fused leaf reported " + std::to_string(elements[1]) +
-              " elements, legacy reported " + std::to_string(elements[0]));
+              "leaf reported " + std::to_string(delta.elements_accumulated) +
+              " elements, expected " + std::to_string(expected) + ": " +
+              s.debug_string());
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// Terminal coverage beyond to_vector: count and reduce agree fused vs
-/// legacy for every generated shape.
+/// Terminal coverage beyond to_vector: count and reduce agree with the
+/// reference for every generated shape.
 TEST(FusionDifferential, CountAndReduceAgreeFusedVsLegacy) {
   const auto result = check(
-      "count/reduce fused == legacy", suite_config(100),
+      "count/reduce == reference", suite_config(100),
       [](Rand& r) { return gen_pipeline(r, 9); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
-        const auto count_for = [&](bool fusion) {
-          return build_stream(s).with_fusion(fusion).count();
-        };
-        if (count_for(true) != count_for(false)) {
-          return PropStatus::fail("count diverged fused vs legacy");
+        const std::vector<std::int64_t> expected = reference_result(s);
+        if (build_stream(s).count() != expected.size()) {
+          return PropStatus::fail("count diverged from reference: " +
+                                  s.debug_string());
         }
-        const auto xor_for = [&](bool fusion) {
-          return build_stream(s).with_fusion(fusion).reduce(
-              std::int64_t{0}, [](std::int64_t a, std::int64_t b) {
-                return a ^ b;
-              });
-        };
-        if (xor_for(true) != xor_for(false)) {
-          return PropStatus::fail("xor-reduce diverged fused vs legacy");
+        std::int64_t expected_xor = 0;
+        for (const std::int64_t v : expected) expected_xor ^= v;
+        const std::int64_t got_xor = build_stream(s).reduce(
+            std::int64_t{0},
+            [](std::int64_t a, std::int64_t b) { return a ^ b; });
+        if (got_xor != expected_xor) {
+          return PropStatus::fail("xor-reduce diverged from reference: " +
+                                  s.debug_string());
         }
         return PropStatus::pass();
       });

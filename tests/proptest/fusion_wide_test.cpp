@@ -1,15 +1,15 @@
-// Wide-admission differential suite (PR 8): short-circuit match/find
-// terminals over pipelines generated from every op the planner admits —
-// map variants, peek, filter, limit, take_while, flat_map, distinct,
-// sorted. Three properties:
+// Wide-admission differential suite: short-circuit match/find terminals
+// over pipelines generated from every op — map variants, peek, filter,
+// limit, take_while, flat_map, distinct, sorted, drop_while — over every
+// source kind. Three properties:
 //
-//   1. any/all/none_match and find_first agree fused vs legacy vs a
-//      reference computed from the op-by-op interpreter.
-//   2. Consumption-depth parity: a fused short-circuit terminal pulls
-//      exactly as many source elements as the legacy pull loop, observed
+//   1. any/all/none_match and find_first agree with the answers computed
+//      from the reference interpreter, sequentially and in parallel.
+//   2. Consumption depth: a short-circuit terminal pulls exactly as many
+//      source elements as reference_source_pulls predicts, observed
 //      through a counting peek between the source and the generated ops.
-//   3. Routing: match terminals run on the fused element loop whenever
-//      fusion is on (fused_leaves > 0) and never when it is off.
+//   3. Routing: match terminals always run on the fused element loop
+//      (fused_leaves > 0).
 //
 // Failures replay with PLS_TEST_SEED, like the rest of the proptest
 // suites.
@@ -63,12 +63,12 @@ std::vector<ShapeAndParam> shrink_case(const ShapeAndParam& c) {
   return out;
 }
 
-/// All four short-circuit terminals agree across the fused element loop,
-/// the legacy pull loops, and the reference interpreter.
+/// All four short-circuit terminals agree with the reference interpreter
+/// on the fused element loop, sequentially and in parallel.
 TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
   const auto result = check(
-      "match/find fused == legacy == reference", suite_config(150), gen_case,
-      shrink_case, [](const ShapeAndParam& c) -> PropStatus {
+      "match/find == reference", suite_config(150), gen_case, shrink_case,
+      [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
         const std::vector<std::int64_t> expected =
             reference_result(c.shape);
@@ -81,30 +81,27 @@ TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
             expected.empty() ? std::nullopt
                              : std::optional<std::int64_t>(expected.front());
         for (const bool parallel : {false, true}) {
-          for (const bool fusion : {false, true}) {
-            const auto stream_for = [&]() {
-              auto s = build_stream(c.shape).with_fusion(fusion);
-              if (parallel) s = std::move(s).parallel();
-              return s;
-            };
-            const std::string mode = std::string(fusion ? "fused" : "legacy") +
-                                     (parallel ? "+parallel" : "");
-            if (stream_for().any_match(pred) != ref_any) {
-              return PropStatus::fail("any_match diverged (" + mode + "): " +
-                                      c.shape.debug_string());
-            }
-            if (stream_for().all_match(pred) != ref_all) {
-              return PropStatus::fail("all_match diverged (" + mode + "): " +
-                                      c.shape.debug_string());
-            }
-            if (stream_for().none_match(pred) != !ref_any) {
-              return PropStatus::fail("none_match diverged (" + mode +
-                                      "): " + c.shape.debug_string());
-            }
-            if (stream_for().find_first() != ref_first) {
-              return PropStatus::fail("find_first diverged (" + mode +
-                                      "): " + c.shape.debug_string());
-            }
+          const auto stream_for = [&]() {
+            auto s = build_stream(c.shape);
+            if (parallel) s = std::move(s).parallel();
+            return s;
+          };
+          const std::string mode = parallel ? "parallel" : "sequential";
+          if (stream_for().any_match(pred) != ref_any) {
+            return PropStatus::fail("any_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().all_match(pred) != ref_all) {
+            return PropStatus::fail("all_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().none_match(pred) != !ref_any) {
+            return PropStatus::fail("none_match diverged (" + mode + "): " +
+                                    c.shape.debug_string());
+          }
+          if (stream_for().find_first() != ref_first) {
+            return PropStatus::fail("find_first diverged (" + mode + "): " +
+                                    c.shape.debug_string());
           }
         }
         return PropStatus::pass();
@@ -112,42 +109,34 @@ TEST(FusionWide, MatchAndFindAgreeFusedLegacyReference) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Consumption-depth parity: fused short-circuit terminals pull exactly
-/// as many source elements as the legacy pull loops — the cancellable
-/// element-mode driver checks cancellation at the same points the wrapper
-/// walk stops pulling.
+/// Consumption depth: short-circuit terminals pull exactly as many source
+/// elements as the reference streaming model — the cancellable
+/// element-mode driver checks cancellation between source elements.
 TEST(FusionWide, ShortCircuitConsumptionDepthMatchesLegacy) {
   const auto result = check(
-      "fused match/find source consumption == legacy", suite_config(150),
+      "match/find source consumption == reference pulls", suite_config(150),
       gen_case, shrink_case, [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
         for (const bool use_find : {false, true}) {
-          std::uint64_t pulls[2] = {0, 0};
-          bool any[2] = {false, false};
-          std::optional<std::int64_t> first[2];
-          for (const bool fusion : {false, true}) {
-            std::uint64_t& n = pulls[fusion ? 1 : 0];
-            auto probed = build_source(c.shape)
-                              .with_fusion(fusion)
-                              .peek([&n](const std::int64_t&) { ++n; });
-            auto stream = apply_ops(std::move(probed), c.shape);
-            if (use_find) {
-              first[fusion ? 1 : 0] = std::move(stream).find_first();
-            } else {
-              any[fusion ? 1 : 0] = std::move(stream).any_match(pred);
-            }
+          std::uint64_t pulls = 0;
+          auto probed = build_source(c.shape).peek(
+              [&pulls](const std::int64_t&) { ++pulls; });
+          auto stream = apply_ops(std::move(probed), c.shape);
+          std::uint64_t expected = 0;
+          if (use_find) {
+            (void)std::move(stream).find_first();
+            expected = reference_source_pulls(
+                c.shape, [](std::int64_t) { return true; });
+          } else {
+            (void)std::move(stream).any_match(pred);
+            expected = reference_source_pulls(c.shape, pred);
           }
-          if (any[1] != any[0] || first[1] != first[0]) {
+          if (pulls != expected) {
             return PropStatus::fail(
                 std::string(use_find ? "find_first" : "any_match") +
-                " result diverged: " + c.shape.debug_string());
-          }
-          if (pulls[1] != pulls[0]) {
-            return PropStatus::fail(
-                std::string(use_find ? "find_first" : "any_match") +
-                " fused consumed " + std::to_string(pulls[1]) +
-                " source elements, legacy consumed " +
-                std::to_string(pulls[0]) + ": " + c.shape.debug_string());
+                " consumed " + std::to_string(pulls) +
+                " source elements, reference consumes " +
+                std::to_string(expected) + ": " + c.shape.debug_string());
           }
         }
         return PropStatus::pass();
@@ -156,27 +145,21 @@ TEST(FusionWide, ShortCircuitConsumptionDepthMatchesLegacy) {
 }
 
 /// Routing: every generated shape fuses, so a match terminal must run on
-/// the fused element loop exactly when fusion is enabled.
+/// the fused element loop.
 TEST(FusionWide, MatchTerminalsRouteThroughFusedLeaves) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
   }
   const auto result = check(
-      "match terminal fused_leaves > 0 == with_fusion", suite_config(80),
-      gen_case, shrink_case, [](const ShapeAndParam& c) -> PropStatus {
+      "match terminal fused_leaves > 0", suite_config(80), gen_case,
+      shrink_case, [](const ShapeAndParam& c) -> PropStatus {
         const MatchPredFn pred{c.param};
-        for (const bool fusion : {false, true}) {
-          const auto before = pls::observe::aggregate_counters();
-          (void)build_stream(c.shape).with_fusion(fusion).any_match(pred);
-          const auto delta = pls::observe::aggregate_counters() - before;
-          if (fusion && delta.fused_leaves == 0) {
-            return PropStatus::fail("fusible match ran the legacy loop: " +
-                                    c.shape.debug_string());
-          }
-          if (!fusion && delta.fused_leaves != 0) {
-            return PropStatus::fail("with_fusion(false) still ran fused: " +
-                                    c.shape.debug_string());
-          }
+        const auto before = pls::observe::aggregate_counters();
+        (void)build_stream(c.shape).any_match(pred);
+        const auto delta = pls::observe::aggregate_counters() - before;
+        if (delta.fused_leaves == 0) {
+          return PropStatus::fail("match terminal ran no fused leaf: " +
+                                  c.shape.debug_string());
         }
         return PropStatus::pass();
       });

@@ -1,7 +1,8 @@
-// Planner ≡ legacy predicates (PR 7): the ExecutionPlan verdicts recorded
-// by the unified evaluate() entry must coincide with the scattered
-// predicates they replaced — expects_fusion_admission and
-// expects_dps_admission over generated pipelines — and planning must be
+// Planner ≡ shape predicates: the ExecutionPlan recorded by the unified
+// evaluate() entry must coincide with what the generated shape predicts —
+// the stripped stage count and source sizing (expected_fused_stages,
+// expects_sized_source) and the DPS verdict (expects_dps_admission) —
+// and planning must be
 // deterministic (same shape, same plan). Also exercises PlanCache replay:
 // an installed profile must be consumed by the next auto-grain plan for
 // the same shape key, and never coarsen the grain past the default.
@@ -44,29 +45,35 @@ streams::ExecutionPlan plan_of(const PipelineShape& s,
   return streams::last_plan();
 }
 
-/// The planner's fusion verdict matches the legacy admission predicate
-/// for every generated shape.
+/// The fuse step's verdict — which stages it stripped and which layer
+/// became the source — matches the shape predicates: the plan reports the
+/// stripped stage count and the source's real sizing (an iterate or
+/// drop_while source is not SIZED).
 TEST(PlanEquivalence, FusionVerdictMatchesLegacyPredicate) {
   const auto result = check(
-      "plan.fused == expects_fusion_admission", suite_config(150),
-      [](Rand& r) { return gen_pipeline(r, 10); },
+      "plan stages/sized == expected_fused_stages/expects_sized_source",
+      suite_config(150), [](Rand& r) { return gen_pipeline(r, 10); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
         const auto plan = plan_of(s);
-        if (plan.fused != expects_fusion_admission(s)) {
+        if (plan.stages != expected_fused_stages(s)) {
           return PropStatus::fail(
-              plan.fused ? "planner fused a shape the legacy gate refused"
-                         : "planner refused a shape the legacy gate fused");
+              "plan has " + std::to_string(plan.stages) +
+              " fused stages, expected " +
+              std::to_string(expected_fused_stages(s)) + ": " +
+              s.debug_string());
         }
-        if (plan.fused && plan.fusion_reason != streams::PlanReason::kAdmitted) {
-          return PropStatus::fail("fused plan carries a refusal reason");
+        if (plan.sized != expects_sized_source(s)) {
+          return PropStatus::fail(
+              std::string(plan.sized ? "unsized" : "sized") +
+              " source misreported: " + s.debug_string());
         }
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
 }
 
-/// The planner's DPS verdict matches the legacy admission predicate, and
+/// The planner's DPS verdict matches the shape's admission predicate, and
 /// an admitted plan names the window it will write.
 TEST(PlanEquivalence, DpsVerdictMatchesLegacyPredicate) {
   const auto result = check(
@@ -77,25 +84,20 @@ TEST(PlanEquivalence, DpsVerdictMatchesLegacyPredicate) {
         const auto plan = plan_of(s);
         if (plan.dps != expects_dps_admission(s)) {
           return PropStatus::fail(
-              plan.dps ? "planner admitted a shape the legacy DPS gate "
+              plan.dps ? "planner admitted a shape the DPS predicate "
                          "refused: " +
                              s.debug_string()
-                       : "planner refused a shape the legacy DPS gate "
+                       : "planner refused a shape the DPS predicate "
                          "admitted: " +
                              s.debug_string());
         }
         if (plan.dps) {
           // sorted restarts fusion on its buffer, so the admitted window
           // counts the buffer, not the original source.
-          std::uint64_t expected_count = s.size;
           const std::size_t start = fused_chain_start(s);
-          if (start != 0) {
-            PipelineShape prefix = s;
-            prefix.ops.assign(
-                s.ops.begin(),
-                s.ops.begin() + static_cast<std::ptrdiff_t>(start));
-            expected_count = reference_result(prefix).size();
-          }
+          const std::uint64_t expected_count =
+              start == 0 ? s.size
+                         : reference_result(with_op_prefix(s, start)).size();
           if (!plan.window.has_value() ||
               plan.window->count != expected_count) {
             return PropStatus::fail("admitted plan lacks its window: " +
@@ -117,8 +119,7 @@ TEST(PlanEquivalence, PlanningIsDeterministic) {
       [](const PipelineShape& s) -> PropStatus {
         const auto a = plan_of(s);
         const auto b = plan_of(s);
-        if (a.fused != b.fused || a.dps != b.dps ||
-            a.fusion_reason != b.fusion_reason ||
+        if (a.stages != b.stages || a.dps != b.dps ||
             a.dps_reason != b.dps_reason || a.grain != b.grain ||
             a.drive != b.drive || a.kernel != b.kernel ||
             a.cache_key != b.cache_key || a.explain() != b.explain()) {

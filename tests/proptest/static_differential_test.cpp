@@ -5,7 +5,7 @@
 // fig4 4-map shape) is driven with randomized data, chunk sizes and
 // execution modes, asserting
 //
-//   static-fused == static-fallback == dynamic-fused == dynamic-legacy
+//   static == static.to_stream() == dynamic == plain-loop reference
 //
 // bit-identically for int64 stacks (and for the double-producing stack,
 // whose per-element operations are evaluated in identical order on every
@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "forkjoin/pool.hpp"
@@ -72,63 +73,63 @@ std::vector<Input> shrink_input(const Input& in) {
 }
 
 Stream<std::int64_t> configured(const std::vector<std::int64_t>& data,
-                                bool parallel, bool sized_sink, bool fusion,
+                                bool parallel, bool sized_sink,
                                 std::uint64_t chunk,
                                 pls::forkjoin::ForkJoinPool& pool) {
-  auto s = Stream<std::int64_t>::of(data)
-               .with_fusion(fusion)
-               .with_sized_sink(sized_sink);
+  auto s = Stream<std::int64_t>::of(data).with_sized_sink(sized_sink);
   if (parallel) {
     s = std::move(s).parallel().via(pool).with_min_chunk(chunk);
   }
   return s;
 }
 
+/// Plain-loop references for the canonical stacks: map and filter over a
+/// vector, no streams code.
+template <typename Fn>
+auto ref_map(const std::vector<std::int64_t>& in, Fn fn) {
+  std::vector<std::invoke_result_t<Fn&, std::int64_t>> out;
+  for (const std::int64_t v : in) out.push_back(fn(v));
+  return out;
+}
+
+template <typename Pred>
+std::vector<std::int64_t> ref_filter(const std::vector<std::int64_t>& in,
+                                     Pred pred) {
+  std::vector<std::int64_t> out;
+  for (const std::int64_t v : in) {
+    if (pred(v)) out.push_back(v);
+  }
+  return out;
+}
+
 /// Drive one canonical stack through every mode x route combination.
 /// `make_static` turns a configured Stream into a StaticPipeline (the
-/// static route; with fusion off it exercises the documented fallback);
-/// `apply_dyn` applies the identical ops through the dynamic Stream API.
-template <typename MakeStatic, typename ApplyDyn>
+/// static route, and through to_stream() its dynamic dissolution);
+/// `apply_dyn` applies the identical ops through the dynamic Stream API;
+/// `expected` is the plain-loop reference output.
+template <typename MakeStatic, typename ApplyDyn, typename Expected>
 std::optional<std::string> check_stack(const char* label, const Input& in,
                                        pls::forkjoin::ForkJoinPool& pool,
                                        MakeStatic make_static,
-                                       ApplyDyn apply_dyn) {
-  const auto expected =
-      apply_dyn(configured(in.data, false, false, false, in.chunk, pool))
-          .to_vector();
+                                       ApplyDyn apply_dyn,
+                                       const Expected& expected) {
   for (const bool parallel : {false, true}) {
     for (const bool sized_sink : {false, true}) {
       if (!parallel && sized_sink) continue;  // same sequential route
       const auto mode = std::string(parallel ? "parallel" : "sequential") +
                         (sized_sink ? "+dps" : "");
-      const auto stat =
-          make_static(
-              configured(in.data, parallel, sized_sink, true, in.chunk, pool))
-              .to_vector();
-      if (stat != expected) {
-        return std::string(label) + " static-fused diverged (" + mode + ")";
+      const auto stream = [&] {
+        return configured(in.data, parallel, sized_sink, in.chunk, pool);
+      };
+      if (make_static(stream()).to_vector() != expected) {
+        return std::string(label) + " static diverged (" + mode + ")";
       }
-      const auto fallback =
-          make_static(
-              configured(in.data, parallel, sized_sink, false, in.chunk, pool))
-              .to_vector();
-      if (fallback != expected) {
-        return std::string(label) + " static-fallback diverged (" + mode +
+      if (make_static(stream()).to_stream().to_vector() != expected) {
+        return std::string(label) + " static.to_stream() diverged (" + mode +
                ")";
       }
-      const auto dyn =
-          apply_dyn(
-              configured(in.data, parallel, sized_sink, true, in.chunk, pool))
-              .to_vector();
-      if (dyn != expected) {
-        return std::string(label) + " dynamic-fused diverged (" + mode + ")";
-      }
-      const auto leg =
-          apply_dyn(
-              configured(in.data, parallel, sized_sink, false, in.chunk, pool))
-              .to_vector();
-      if (leg != expected) {
-        return std::string(label) + " dynamic-legacy diverged (" + mode + ")";
+      if (apply_dyn(stream()).to_vector() != expected) {
+        return std::string(label) + " dynamic diverged (" + mode + ")";
       }
     }
   }
@@ -136,12 +137,14 @@ std::optional<std::string> check_stack(const char* label, const Input& in,
 }
 
 /// The tentpole property: every canonical static stack agrees with its
-/// dynamic twin on every route, in every execution mode, bit for bit.
+/// dynamic twin and the plain-loop reference, in every execution mode,
+/// bit for bit.
 TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "static == dynamic == legacy x {seq, fj, dps}", suite_config(60),
+      "static == dynamic == reference x {seq, fj, dps}", suite_config(60),
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
+        const std::vector<std::int64_t>& d = in.data;
         std::optional<std::string> err;
 
         err = check_stack(
@@ -153,7 +156,8 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
             [](auto s) {
               return std::move(s).map(
                   [](std::int64_t v) { return v * 3 - 7; });
-            });
+            },
+            ref_map(d, [](std::int64_t v) { return v * 3 - 7; }));
         if (err) return PropStatus::fail(*err);
 
         err = check_stack(
@@ -165,7 +169,8 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
             [](auto s) {
               return std::move(s).filter(
                   [](std::int64_t v) { return v % 3 != 1; });
-            });
+            },
+            ref_filter(d, [](std::int64_t v) { return v % 3 != 1; }));
         if (err) return PropStatus::fail(*err);
 
         err = check_stack(
@@ -179,7 +184,9 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
               return std::move(s)
                   .map([](std::int64_t v) { return v + 13; })
                   .filter([](std::int64_t v) { return (v & 3) != 0; });
-            });
+            },
+            ref_filter(ref_map(d, [](std::int64_t v) { return v + 13; }),
+                       [](std::int64_t v) { return (v & 3) != 0; }));
         if (err) return PropStatus::fail(*err);
 
         err = check_stack(
@@ -193,7 +200,9 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
               return std::move(s)
                   .filter([](std::int64_t v) { return v >= 0; })
                   .map([](std::int64_t v) { return v ^ 0x55; });
-            });
+            },
+            ref_map(ref_filter(d, [](std::int64_t v) { return v >= 0; }),
+                    [](std::int64_t v) { return v ^ 0x55; }));
         if (err) return PropStatus::fail(*err);
 
         // The fig4 shape: four stacked maps.
@@ -212,7 +221,10 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
                   .map([](std::int64_t v) { return v + 11; })
                   .map([](std::int64_t v) { return v ^ 0x2a; })
                   .map([](std::int64_t v) { return v - 9; });
-            });
+            },
+            ref_map(d, [](std::int64_t v) {
+              return ((v * 3 + 11) ^ 0x2a) - 9;
+            }));
         if (err) return PropStatus::fail(*err);
 
         err = check_stack(
@@ -230,7 +242,11 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
                   .peek([](const std::int64_t&) {})
                   .filter([](std::int64_t v) { return v % 5 != 2; })
                   .map([](std::int64_t v) { return v * 2 + 1; });
-            });
+            },
+            ref_map(
+                ref_filter(ref_map(d, [](std::int64_t v) { return v - 1; }),
+                           [](std::int64_t v) { return v % 5 != 2; }),
+                [](std::int64_t v) { return v * 2 + 1; }));
         if (err) return PropStatus::fail(*err);
 
         // Type-changing chain: int64 -> double. Per-element operations are
@@ -250,7 +266,10 @@ TEST(StaticDifferential, StaticEqualsDynamicEqualsLegacyInEveryMode) {
                   .map([](std::int64_t v) {
                     return static_cast<double>(v) * 0.5;
                   });
-            });
+            },
+            ref_map(d, [](std::int64_t v) {
+              return static_cast<double>(v * 2 + 1) * 0.5;
+            }));
         if (err) return PropStatus::fail(*err);
 
         return PropStatus::pass();
@@ -267,7 +286,7 @@ TEST(StaticDifferential, PeekObservationParity) {
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
         std::int64_t static_count = 0, static_sum = 0;
         std::int64_t dyn_count = 0, dyn_sum = 0;
-        (void)configured(in.data, false, false, true, in.chunk, pool)
+        (void)configured(in.data, false, false, in.chunk, pool)
             .stages(map([](std::int64_t v) { return v + 2; }),
                     peek([&](const std::int64_t& v) {
                       ++static_count;
@@ -275,7 +294,7 @@ TEST(StaticDifferential, PeekObservationParity) {
                     }),
                     filter([](std::int64_t v) { return v % 2 == 0; }))
             .to_vector();
-        (void)configured(in.data, false, false, true, in.chunk, pool)
+        (void)configured(in.data, false, false, in.chunk, pool)
             .map([](std::int64_t v) { return v + 2; })
             .peek([&](const std::int64_t& v) {
               ++dyn_count;
@@ -302,11 +321,11 @@ TEST(StaticDifferential, CountAndReduceAgree) {
       gen_input, shrink_input, [&](const Input& in) -> PropStatus {
         for (const bool parallel : {false, true}) {
           const auto static_count =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .stages(filter([](std::int64_t v) { return v % 7 != 3; }))
                   .count();
           const auto dyn_count =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .filter([](std::int64_t v) { return v % 7 != 3; })
                   .count();
           if (static_count != dyn_count) {
@@ -316,11 +335,11 @@ TEST(StaticDifferential, CountAndReduceAgree) {
             return a ^ b;
           };
           const auto static_xor =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .stages(map([](std::int64_t v) { return v * 5 + 1; }))
                   .reduce(std::int64_t{0}, xor_op);
           const auto dyn_xor =
-              configured(in.data, parallel, false, true, in.chunk, pool)
+              configured(in.data, parallel, false, in.chunk, pool)
                   .map([](std::int64_t v) { return v * 5 + 1; })
                   .reduce(std::int64_t{0}, xor_op);
           if (static_xor != dyn_xor) {

@@ -175,7 +175,7 @@ TEST(ServiceDriver, OneRunRecordPerDrainedBatch) {
   for (const auto& rec : registry.records_since(before)) {
     if (rec.origin == "service") {
       ++service_records;
-      EXPECT_TRUE(rec.fused);
+      EXPECT_EQ(rec.drive, "sequential");
       EXPECT_GT(rec.source_size, 0u);
       EXPECT_LE(rec.source_size, 8u);
     }

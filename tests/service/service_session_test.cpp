@@ -185,7 +185,7 @@ TEST(ServiceSession, PlanIsServiceOriginAndFused) {
                      .open<int>(driver);
   const streams::ExecutionPlan& p = session->plan();
   EXPECT_EQ(p.origin, streams::PlanOrigin::kService);
-  EXPECT_TRUE(p.fused);
+  EXPECT_EQ(p.stages, 1u);  // the static map stack
 }
 
 TEST(ServiceSession, CollectWithoutWindowThrows) {

@@ -225,18 +225,23 @@ TEST(CollectInto, NonDefaultConstructibleUsesBufferedSink) {
   }
 }
 
-// ---- direct evaluate_collect_into -----------------------------------
+// ---- sub-window sources through evaluate() ----------------------------
 
 TEST(CollectInto, ExplicitRootWindowOnSubWindowSource) {
   // A spliterator over the middle of a larger array reports a window with
   // nonzero start; the evaluator must rebase it to fill the result from 0.
   auto storage = std::make_shared<const std::vector<int>>(test_data(64));
-  ArraySpliterator<int> sp(storage, 16, 48);  // 32 elements, start 16
-  const auto root = pls::streams::plan_dps_window(sp);
-  ASSERT_TRUE(root.has_value());
-  EXPECT_EQ(root->start, 16u);
-  auto out = pls::streams::evaluate_collect_into(
-      sp, VectorCollector<int>{}, *root, /*parallel=*/true);
+  std::unique_ptr<pls::streams::Spliterator<int>> sp =
+      std::make_unique<ArraySpliterator<int>>(storage, 16, 48);  // start 16
+  auto out = pls::streams::evaluate(
+      sp, pls::streams::terminals::collect(VectorCollector<int>{}),
+      /*parallel=*/true,
+      pls::streams::ExecutionConfig{}.with_min_chunk(4));
+  const auto& plan = pls::streams::last_plan();
+  ASSERT_TRUE(plan.dps);
+  ASSERT_TRUE(plan.window.has_value());
+  EXPECT_EQ(plan.window->start, 16u);
+  EXPECT_EQ(plan.window->count, 32u);
   ASSERT_EQ(out.size(), 32u);
   for (std::size_t i = 0; i < 32; ++i) {
     EXPECT_EQ(out[i], (*storage)[16 + i]);

@@ -1,10 +1,11 @@
 // Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"):
 // terminal evaluation strips fusable wrapper chains into a FusedPipeline
-// and drives one sink chain per leaf. These tests pin the contract:
-// results are bit-identical to the wrapper walk, short-circuit chains
-// consume exactly as deep into the source as the wrappers did, the
-// admission gate routes non-fusible shapes back to the wrappers, and the
-// fused_leaves counter records which route every leaf took.
+// and drives one sink chain per leaf; the first layer that does not strip
+// becomes the fused pipeline's source. These tests pin the contract:
+// results equal plain-loop expectations, short-circuit chains consume
+// exactly as deep into the source as their semantics demand, concat and
+// unsized sources fuse too, and the fused_leaves counter records that
+// every stream leaf ran fused.
 #include "streams/fusion.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "forkjoin/pool.hpp"
@@ -32,102 +34,105 @@ std::vector<long> iota(std::size_t n) {
   return v;
 }
 
+/// Plain-loop map over a vector: the reference the fused chains must hit.
+template <typename Fn>
+auto mapped(const std::vector<long>& in, Fn fn) {
+  std::vector<std::invoke_result_t<Fn&, long>> out;
+  for (const long v : in) out.push_back(fn(v));
+  return out;
+}
+
 CounterTotals counters_now() { return pls::observe::aggregate_counters(); }
 
 // ---- result equivalence ----------------------------------------------
 
 TEST(Fusion, MapChainMatchesLegacyOnArraySource) {
   const auto data = iota(1000);  // non-power-of-two: supplier/combiner path
-  const auto run = [&](bool fusion) {
-    return Stream<long>::of(data)
-        .with_fusion(fusion)
-        .map([](long v) { return v * 3; })
-        .map([](long v) { return v - 7; })
-        .map([](long v) { return v ^ 0x55; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  const auto out = Stream<long>::of(data)
+                       .map([](long v) { return v * 3; })
+                       .map([](long v) { return v - 7; })
+                       .map([](long v) { return v ^ 0x55; })
+                       .to_vector();
+  EXPECT_EQ(out, mapped(data, [](long v) { return (v * 3 - 7) ^ 0x55; }));
 }
 
 TEST(Fusion, MapFilterPeekChainMatchesLegacy) {
-  std::atomic<std::uint64_t> seen_fused{0};
-  std::atomic<std::uint64_t> seen_legacy{0};
-  const auto run = [&](bool fusion, std::atomic<std::uint64_t>& seen) {
-    return Stream<long>::range(0, 777)
-        .with_fusion(fusion)
-        .map([](long v) { return v * 2 + 1; })
-        .filter([](long v) { return v % 3 != 0; })
-        .peek([&seen](const long&) {
-          seen.fetch_add(1, std::memory_order_relaxed);
-        })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true, seen_fused), run(false, seen_legacy));
-  EXPECT_EQ(seen_fused.load(), seen_legacy.load());
+  std::atomic<std::uint64_t> seen{0};
+  const auto out = Stream<long>::range(0, 777)
+                       .map([](long v) { return v * 2 + 1; })
+                       .filter([](long v) { return v % 3 != 0; })
+                       .peek([&seen](const long&) {
+                         seen.fetch_add(1, std::memory_order_relaxed);
+                       })
+                       .to_vector();
+  std::vector<long> expected;
+  for (long v = 0; v < 777; ++v) {
+    if ((v * 2 + 1) % 3 != 0) expected.push_back(v * 2 + 1);
+  }
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(seen.load(), expected.size());
 }
 
 TEST(Fusion, TypeChangingMapChainMatchesLegacy) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::generate([](std::uint64_t i) { return long(i); },
-                                  300)
-        .with_fusion(fusion)
-        .map([](long v) { return double(v) * 0.5; })
-        .map([](double v) { return std::to_string(v); })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  const auto out =
+      Stream<long>::generate([](std::uint64_t i) { return long(i); }, 300)
+          .map([](long v) { return double(v) * 0.5; })
+          .map([](double v) { return std::to_string(v); })
+          .to_vector();
+  std::vector<std::string> expected;
+  for (long v = 0; v < 300; ++v) {
+    expected.push_back(std::to_string(double(v) * 0.5));
+  }
+  EXPECT_EQ(out, expected);
 }
 
 TEST(Fusion, ParallelTerminalsMatchLegacyAcrossChunkSizes) {
   pls::forkjoin::ForkJoinPool pool(3);
   const auto data = iota(1 << 10);
+  std::vector<long> expected;
+  for (const long v : data) {
+    if (((v * v) & 3) != 0) expected.push_back(v * v);
+  }
   for (const std::uint64_t chunk : {1ull, 7ull, 64ull, 2000ull}) {
-    const auto run = [&](bool fusion) {
-      return Stream<long>::of(data)
-          .parallel()
-          .via(pool)
-          .with_min_chunk(chunk)
-          .with_fusion(fusion)
-          .map([](long v) { return v * v; })
-          .filter([](long v) { return (v & 3) != 0; })
-          .to_vector();
-    };
-    EXPECT_EQ(run(true), run(false)) << "min_chunk=" << chunk;
+    const auto out = Stream<long>::of(data)
+                         .parallel()
+                         .via(pool)
+                         .with_min_chunk(chunk)
+                         .map([](long v) { return v * v; })
+                         .filter([](long v) { return (v & 3) != 0; })
+                         .to_vector();
+    EXPECT_EQ(out, expected) << "min_chunk=" << chunk;
   }
 }
 
 TEST(Fusion, ReduceForEachCountAndSumMatchLegacy) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto data = iota(513);
-  const auto base = [&](bool fusion) {
-    return Stream<long>::of(data).with_fusion(fusion).map(
-        [](long v) { return v ^ (v << 3); });
-  };
-  EXPECT_EQ(base(true).reduce([](long a, long b) { return a ^ b; }),
-            base(false).reduce([](long a, long b) { return a ^ b; }));
-  EXPECT_EQ(base(true).count(), base(false).count());
-  EXPECT_EQ(std::move(base(true).parallel().via(pool)).sum(),
-            std::move(base(false).parallel().via(pool)).sum());
-  std::atomic<long> acc_fused{0};
-  base(true).parallel().via(pool).for_each([&](const long& v) {
-    acc_fused.fetch_add(v, std::memory_order_relaxed);
+  const auto fn = [](long v) { return v ^ (v << 3); };
+  const auto expected = mapped(data, fn);
+  long expected_xor = 0;
+  for (const long v : expected) expected_xor ^= v;
+  const long expected_sum =
+      std::accumulate(expected.begin(), expected.end(), 0L);
+  const auto base = [&] { return Stream<long>::of(data).map(fn); };
+  EXPECT_EQ(base().reduce([](long a, long b) { return a ^ b; }),
+            expected_xor);
+  EXPECT_EQ(base().count(), expected.size());
+  EXPECT_EQ(std::move(base().parallel().via(pool)).sum(), expected_sum);
+  std::atomic<long> acc{0};
+  base().parallel().via(pool).for_each([&](const long& v) {
+    acc.fetch_add(v, std::memory_order_relaxed);
   });
-  std::atomic<long> acc_legacy{0};
-  base(false).parallel().via(pool).for_each([&](const long& v) {
-    acc_legacy.fetch_add(v, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(acc_fused.load(), acc_legacy.load());
+  EXPECT_EQ(acc.load(), expected_sum);
 }
 
 TEST(Fusion, EmptyAndSingletonSources) {
   for (const long n : {0L, 1L}) {
-    const auto run = [&](bool fusion) {
-      return Stream<long>::range(0, n)
-          .with_fusion(fusion)
-          .map([](long v) { return v + 1; })
-          .to_vector();
-    };
-    EXPECT_EQ(run(true), run(false)) << "n=" << n;
+    const auto out = Stream<long>::range(0, n)
+                         .map([](long v) { return v + 1; })
+                         .to_vector();
+    EXPECT_EQ(out, n == 0 ? std::vector<long>{} : std::vector<long>{1})
+        << "n=" << n;
   }
 }
 
@@ -135,63 +140,57 @@ TEST(Fusion, EmptyAndSingletonSources) {
 
 TEST(Fusion, LimitConsumesExactlyAsDeepAsLegacy) {
   // A counting peek below the slice observes source consumption depth:
-  // the fused cancellable driver must pull exactly as many elements out
-  // of the source as the wrapper chain did.
-  const auto consumed = [&](bool fusion) {
-    std::uint64_t pulls = 0;
-    auto out = Stream<long>::range(0, 10000)
-                   .with_fusion(fusion)
-                   .peek([&pulls](const long&) { ++pulls; })
-                   .limit(37)
-                   .to_vector();
-    EXPECT_EQ(out.size(), 37u);
-    return pulls;
-  };
-  EXPECT_EQ(consumed(true), consumed(false));
+  // the cancellable driver must pull exactly the 37 elements it keeps.
+  std::uint64_t pulls = 0;
+  auto out = Stream<long>::range(0, 10000)
+                 .peek([&pulls](const long&) { ++pulls; })
+                 .limit(37)
+                 .to_vector();
+  EXPECT_EQ(out.size(), 37u);
+  EXPECT_EQ(pulls, 37u);
 }
 
 TEST(Fusion, SkipThenLimitMatchesLegacy) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 500)
-        .with_fusion(fusion)
-        .skip(100)
-        .limit(50)
-        .map([](long v) { return v * 11; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  const auto out = Stream<long>::range(0, 500)
+                       .skip(100)
+                       .limit(50)
+                       .map([](long v) { return v * 11; })
+                       .to_vector();
+  std::vector<long> expected;
+  for (long v = 100; v < 150; ++v) expected.push_back(v * 11);
+  EXPECT_EQ(out, expected);
 }
 
 TEST(Fusion, TakeWhileStopsAtFirstFailureLikeLegacy) {
-  const auto consumed = [&](bool fusion) {
-    std::uint64_t pulls = 0;
-    auto out = Stream<long>::range(0, 10000)
-                   .with_fusion(fusion)
-                   .peek([&pulls](const long&) { ++pulls; })
-                   .take_while([](long v) { return v < 123; })
-                   .to_vector();
-    EXPECT_EQ(out.size(), 123u);
-    return pulls;
-  };
-  // take_while consumes through the first failing element (124 pulls).
-  EXPECT_EQ(consumed(true), consumed(false));
+  std::uint64_t pulls = 0;
+  auto out = Stream<long>::range(0, 10000)
+                 .peek([&pulls](const long&) { ++pulls; })
+                 .take_while([](long v) { return v < 123; })
+                 .to_vector();
+  EXPECT_EQ(out.size(), 123u);
+  // take_while consumes through the first failing element.
+  EXPECT_EQ(pulls, 124u);
 }
 
 TEST(Fusion, CancellingChainsRefuseToSplitInParallelMode) {
   // limit in a parallel pipeline: the fused chain must stay a single
   // leaf (as the SliceSpliterator wrapper does) and still be exact.
   pls::forkjoin::ForkJoinPool pool(4);
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 1 << 12)
-        .parallel()
-        .via(pool)
-        .with_min_chunk(8)
-        .with_fusion(fusion)
-        .map([](long v) { return v + 1; })
-        .limit(100)
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  const CounterTotals before = counters_now();
+  const auto out = Stream<long>::range(0, 1 << 12)
+                       .parallel()
+                       .via(pool)
+                       .with_min_chunk(8)
+                       .map([](long v) { return v + 1; })
+                       .limit(100)
+                       .to_vector();
+  const CounterTotals delta = counters_now() - before;
+  std::vector<long> expected(100);
+  std::iota(expected.begin(), expected.end(), 1);
+  EXPECT_EQ(out, expected);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(delta.leaf_chunks, 1u);
+  }
 }
 
 // ---- admission and routing -------------------------------------------
@@ -202,7 +201,6 @@ TEST(Fusion, FusedLeavesCounterRecordsRouting) {
   {
     const CounterTotals before = counters_now();
     (void)Stream<long>::of(data)
-        .with_fusion(true)
         .with_sized_sink(false)
         .map([](long v) { return v * 2; })
         .to_vector();
@@ -212,16 +210,17 @@ TEST(Fusion, FusedLeavesCounterRecordsRouting) {
     EXPECT_EQ(delta.elements_accumulated, 256u);
   }
   {
+    // drop_while does not strip: it becomes the fused pipeline's source,
+    // unsized, so the leaf reports no element count.
     const CounterTotals before = counters_now();
     (void)Stream<long>::of(data)
-        .with_fusion(false)
-        .with_sized_sink(false)
+        .drop_while([](long v) { return v < 10; })
         .map([](long v) { return v * 2; })
         .to_vector();
     const CounterTotals delta = counters_now() - before;
-    EXPECT_EQ(delta.fused_leaves, 0u);
+    EXPECT_EQ(delta.fused_leaves, 1u);
     EXPECT_EQ(delta.leaf_chunks, 1u);
-    EXPECT_EQ(delta.elements_accumulated, 256u);
+    EXPECT_EQ(delta.elements_accumulated, 0u);
   }
 }
 
@@ -233,7 +232,6 @@ TEST(Fusion, ParallelFusedLeafCountMatchesLeafChunks) {
       .parallel()
       .via(pool)
       .with_min_chunk(64)
-      .with_fusion(true)
       .map([](long v) { return v + 3; })
       .to_vector();
   const CounterTotals delta = counters_now() - before;
@@ -242,54 +240,113 @@ TEST(Fusion, ParallelFusedLeafCountMatchesLeafChunks) {
   EXPECT_EQ(delta.elements_accumulated, 1u << 10);
 }
 
-TEST(Fusion, ConcatBottomedChainFallsBackToWrappers) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::concat(Stream<long>::range(0, 100),
-                                Stream<long>::range(200, 300))
-        .with_fusion(fusion)
-        .map([](long v) { return v * 5; })
-        .to_vector();
-  };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
-  if (pls::observe::kEnabled) {
+TEST(Fusion, ConcatBottomedChainFuses) {
+  // concat names no destination window but is SIZED|SUBSIZED: the fuse
+  // step adopts it as the source, and every leaf — one per concat half
+  // and below, in parallel — runs the fused map chain.
+  pls::forkjoin::ForkJoinPool pool(2);
+  std::vector<long> expected;
+  for (long v = 0; v < 100; ++v) expected.push_back(v * 5);
+  for (long v = 200; v < 300; ++v) expected.push_back(v * 5);
+  for (const bool parallel : {false, true}) {
     const CounterTotals before = counters_now();
-    (void)run(true);
+    auto stream = Stream<long>::concat(Stream<long>::range(0, 100),
+                                       Stream<long>::range(200, 300));
+    if (parallel) stream = std::move(stream).parallel().via(pool);
+    const auto out =
+        std::move(stream).map([](long v) { return v * 5; }).to_vector();
     const CounterTotals delta = counters_now() - before;
-    EXPECT_EQ(delta.fused_leaves, 0u);  // concat names no window
+    EXPECT_EQ(out, expected) << (parallel ? "parallel" : "sequential");
+    if (pls::observe::kEnabled) {
+      EXPECT_GT(delta.leaf_chunks, 0u);
+      EXPECT_EQ(delta.fused_leaves, delta.leaf_chunks);
+      EXPECT_EQ(delta.elements_accumulated, 200u);
+    }
   }
 }
 
-TEST(Fusion, UnsizedIterateTailFallsBackToWrappers) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::iterate(1L, [](long v) { return v * 2; })
-        .with_fusion(fusion)
-        .map([](long v) { return v + 1; })
-        .limit(20)
-        .to_vector();
+TEST(Fusion, ConcatForwardsContiguousChunksBitIdentically) {
+  // Two array halves hand their storage over chunk by chunk; a range
+  // first half is not contiguous, so the buffered path drains the rest.
+  // Both must match the plain loop in sequential and parallel modes.
+  pls::forkjoin::ForkJoinPool pool(3);
+  std::vector<long> lo(1500), hi(2600);
+  for (std::size_t i = 0; i < lo.size(); ++i) lo[i] = long(i * 7) - 900;
+  for (std::size_t i = 0; i < hi.size(); ++i) hi[i] = 5000 - long(i * 3);
+  const auto f = [](long v) {
+    const double w = double(v) * 1.0001 + 0.5;
+    return w * w - 3.0;
   };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
-  EXPECT_EQ(fused.size(), 20u);
+  const auto maps = [](Stream<long> s) {
+    return std::move(s)
+        .map([](long v) { return double(v) * 1.0001 + 0.5; })
+        .map([](double w) { return w * w - 3.0; });
+  };
+  std::vector<double> arrays_expected;
+  for (const long v : lo) arrays_expected.push_back(f(v));
+  for (const long v : hi) arrays_expected.push_back(f(v));
+  std::vector<double> mixed_expected;
+  for (long v = 0; v < 1000; ++v) mixed_expected.push_back(f(v));
+  for (const long v : hi) mixed_expected.push_back(f(v));
+  for (const bool parallel : {false, true}) {
+    const auto run = [&](Stream<long> s) {
+      if (parallel) s = std::move(s).parallel().via(pool).with_min_chunk(256);
+      return maps(std::move(s)).to_vector();
+    };
+    EXPECT_EQ(run(Stream<long>::concat(Stream<long>::of(lo),
+                                       Stream<long>::of(hi))),
+              arrays_expected)
+        << "array+array, parallel=" << parallel;
+    EXPECT_EQ(run(Stream<long>::concat(Stream<long>::range(0, 1000),
+                                       Stream<long>::of(hi))),
+              mixed_expected)
+        << "range+array, parallel=" << parallel;
+  }
+}
+
+TEST(Fusion, UnsizedIterateTailFuses) {
+  // iterate is unsized: it becomes the fused source below the map and
+  // limit stages. The plan reports the real (unsized) shape, no DPS, and
+  // the leaf reports no element count — as the wrapper leaf did.
+  const CounterTotals before = counters_now();
+  const auto out = Stream<long>::iterate(1L, [](long v) { return v * 2; })
+                       .map([](long v) { return v + 1; })
+                       .limit(20)
+                       .to_vector();
+  const CounterTotals delta = counters_now() - before;
+  std::vector<long> expected;
+  for (long v = 1, i = 0; i < 20; ++i, v *= 2) expected.push_back(v + 1);
+  EXPECT_EQ(out, expected);
+  const auto& plan = pls::streams::last_plan();
+  EXPECT_FALSE(plan.sized);
+  EXPECT_FALSE(plan.subsized);
+  EXPECT_EQ(plan.stages, 2u);
+  EXPECT_FALSE(plan.dps);
+  EXPECT_EQ(plan.dps_reason, pls::streams::PlanReason::kChainNotOneToOne);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(delta.fused_leaves, 1u);
+    EXPECT_EQ(delta.elements_accumulated, 0u);
+  }
 }
 
 TEST(Fusion, FlatMapChainFusesAsMultiAcceptStage) {
-  const auto run = [&](bool fusion) {
-    return Stream<long>::range(0, 64)
-        .with_fusion(fusion)
-        .flat_map([](const long& v) {
-          return std::vector<long>{v, v + 1};
-        })
-        .map([](long v) { return v * 7; })
-        .to_vector();
-  };
-  const auto fused = run(true);
-  EXPECT_EQ(fused, run(false));
+  const CounterTotals before = counters_now();
+  const auto out = Stream<long>::range(0, 64)
+                       .flat_map([](const long& v) {
+                         return std::vector<long>{v, v + 1};
+                       })
+                       .map([](long v) { return v * 7; })
+                       .to_vector();
+  const CounterTotals delta = counters_now() - before;
+  std::vector<long> expected;
+  for (long v = 0; v < 64; ++v) {
+    expected.push_back(v * 7);
+    expected.push_back((v + 1) * 7);
+  }
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(pls::streams::last_plan().stages, 2u);  // flat_map + map
   if (pls::observe::kEnabled) {
-    const CounterTotals before = counters_now();
-    (void)run(true);
-    const CounterTotals delta = counters_now() - before;
-    EXPECT_GT(delta.fused_leaves, 0u);  // flat_map is a fusable fan-out
+    EXPECT_GT(delta.fused_leaves, 0u);
   }
 }
 
@@ -298,21 +355,17 @@ TEST(Fusion, FlatMapChainFusesAsMultiAcceptStage) {
 TEST(Fusion, FusedDpsCollectMatchesAllOtherRoutes) {
   pls::forkjoin::ForkJoinPool pool(3);
   const auto data = iota(1 << 11);  // power of two: DPS-admissible
-  std::vector<std::vector<long>> results;
-  for (const bool fusion : {false, true}) {
-    for (const bool sized_sink : {false, true}) {
-      results.push_back(Stream<long>::of(data)
-                            .parallel()
-                            .via(pool)
-                            .with_min_chunk(32)
-                            .with_fusion(fusion)
-                            .with_sized_sink(sized_sink)
-                            .map([](long v) { return v * 13 + 1; })
-                            .to_vector());
-    }
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i], results[0]) << "route " << i;
+  const auto expected = mapped(data, [](long v) { return v * 13 + 1; });
+  for (const bool sized_sink : {false, true}) {
+    const auto out = Stream<long>::of(data)
+                         .parallel()
+                         .via(pool)
+                         .with_min_chunk(32)
+                         .with_sized_sink(sized_sink)
+                         .map([](long v) { return v * 13 + 1; })
+                         .to_vector();
+    EXPECT_EQ(out, expected) << "sized_sink=" << sized_sink;
+    EXPECT_EQ(pls::streams::last_plan().dps, sized_sink);
   }
 }
 
@@ -324,7 +377,6 @@ TEST(Fusion, FusedDpsLeavesAreCountedFused) {
       .parallel()
       .via(pool)
       .with_min_chunk(64)
-      .with_fusion(true)
       .with_sized_sink(true)
       .map([](long v) { return v + 1; })
       .to_vector();
@@ -355,14 +407,14 @@ TEST(Fusion, LargeArrayChunksSpanMultipleFusionBuffers) {
   // > kFusionChunk elements through a Generate source exercises the
   // buffered transport's flush-and-refill path.
   const std::uint64_t n = pls::streams::kFusionChunk * 3 + 17;
-  const auto run = [&](bool fusion) {
-    return Stream<std::uint64_t>::generate(
-               [](std::uint64_t i) { return i * i; }, n)
-        .with_fusion(fusion)
-        .map([](std::uint64_t v) { return v ^ 0xdeadbeef; })
-        .to_vector();
-  };
-  EXPECT_EQ(run(true), run(false));
+  const auto out = Stream<std::uint64_t>::generate(
+                       [](std::uint64_t i) { return i * i; }, n)
+                       .map([](std::uint64_t v) { return v ^ 0xdeadbeef; })
+                       .to_vector();
+  ASSERT_EQ(out.size(), n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(out[i], (i * i) ^ 0xdeadbeef) << "i=" << i;
+  }
 }
 
 }  // namespace

@@ -65,27 +65,16 @@ TEST(PlanPipeline, FusedDpsCollectPlan) {
       sp, TerminalKind::kCollect, /*collector_sized=*/true,
       /*chunk_collector=*/false, /*parallel=*/false, cfg);
   ASSERT_NE(planned.fused, nullptr);
+  EXPECT_EQ(sp, nullptr);  // the pipeline was consumed into the fused form
   const ExecutionPlan& p = planned.plan;
-  EXPECT_TRUE(p.fused);
-  EXPECT_EQ(p.fusion_reason, PlanReason::kAdmitted);
+  EXPECT_TRUE(p.sized);
+  EXPECT_TRUE(p.subsized);
   EXPECT_TRUE(p.dps);
   EXPECT_EQ(p.dps_reason, PlanReason::kAdmitted);
   ASSERT_TRUE(p.window.has_value());
   EXPECT_EQ(p.window->count, 64u);
   EXPECT_EQ(p.drive, DriveMode::kSequential);
   EXPECT_EQ(p.grain_source, GrainSource::kNone);
-}
-
-TEST(PlanPipeline, FusionOffGivesLegacyPlanWithReason) {
-  auto sp = array_source(64);
-  const auto cfg = ExecutionConfig{}.with_fusion(false);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, false, cfg);
-  EXPECT_EQ(planned.fused, nullptr);
-  EXPECT_NE(sp, nullptr);  // source untouched on refusal
-  EXPECT_FALSE(planned.plan.fused);
-  EXPECT_EQ(planned.plan.fusion_reason, PlanReason::kDisabledByConfig);
-  EXPECT_TRUE(planned.plan.dps);  // DPS still admits through the wrapper
 }
 
 TEST(PlanPipeline, NonCollectTerminalNeverDps) {
@@ -218,7 +207,7 @@ TEST(PlanDeterminism, SameShapeSamePlan) {
   auto b = streams::plan_pipeline<int>(b_sp, TerminalKind::kCollect, true,
                                        false, true, cfg);
   EXPECT_EQ(a.plan.cache_key, b.plan.cache_key);
-  EXPECT_EQ(a.plan.fused, b.plan.fused);
+  EXPECT_EQ(a.plan.stages, b.plan.stages);
   EXPECT_EQ(a.plan.dps, b.plan.dps);
   EXPECT_EQ(a.plan.grain, b.plan.grain);
   EXPECT_EQ(a.plan.explain(), b.plan.explain());
@@ -249,7 +238,7 @@ TEST(PlanWideAdmission, FlatMapFusesButRefusesDps) {
                  .to_vector();
   EXPECT_EQ(out.size(), 128u);
   const ExecutionPlan& p = streams::last_plan();
-  EXPECT_TRUE(p.fused);
+  EXPECT_EQ(p.stages, 1u);
   EXPECT_FALSE(p.one_to_one);
   EXPECT_FALSE(p.stateful);
   EXPECT_FALSE(p.dps);
@@ -266,7 +255,7 @@ TEST(PlanWideAdmission, DistinctChainIsStatefulSingleLeaf) {
                  .to_vector();
   EXPECT_EQ(out.size(), 128u);
   const ExecutionPlan& p = streams::last_plan();
-  EXPECT_TRUE(p.fused);
+  EXPECT_EQ(p.stages, 2u);
   EXPECT_TRUE(p.stateful);
   EXPECT_FALSE(p.cancels);
   EXPECT_EQ(p.dps_reason, PlanReason::kChainStateful);
@@ -284,7 +273,6 @@ TEST(PlanWideAdmission, SortedResumesFusionDownstreamOfBuffer) {
                  .to_vector();
   EXPECT_EQ(out.size(), 8u);
   const ExecutionPlan& p = streams::last_plan();
-  EXPECT_TRUE(p.fused);
   EXPECT_EQ(p.stages, 1u);  // just the map; filter ran upstream of the buffer
   EXPECT_EQ(p.source_size, 8u);
   EXPECT_TRUE(p.dps);
@@ -301,7 +289,7 @@ TEST(PlanWideAdmission, MatchTerminalsRunFusedElementLoop) {
   {
     const ExecutionPlan& p = streams::last_plan();
     EXPECT_EQ(p.terminal, TerminalKind::kAnyMatch);
-    EXPECT_TRUE(p.fused);
+    EXPECT_EQ(p.stages, 1u);
     EXPECT_EQ(p.drive, DriveMode::kElementLoop);
     EXPECT_FALSE(p.dps);
     EXPECT_EQ(p.dps_reason, PlanReason::kTerminalNotCollect);
@@ -339,7 +327,7 @@ TEST(PlanRecording, TerminalsRecordLastPlan) {
   const ExecutionPlan& p = streams::last_plan();
   EXPECT_EQ(p.terminal, TerminalKind::kCollect);
   EXPECT_EQ(p.origin, PlanOrigin::kDynamic);
-  EXPECT_TRUE(p.fused);
+  EXPECT_EQ(p.stages, 0u);
   EXPECT_EQ(p.source_size, 32u);
 }
 
@@ -351,7 +339,8 @@ TEST(PlanExplain, NamesTheDecisions) {
   const std::string text = planned.plan.explain();
   EXPECT_NE(text.find("plan: collect"), std::string::npos);
   EXPECT_NE(text.find("source : 64 elements"), std::string::npos);
-  EXPECT_NE(text.find("fusion : admitted"), std::string::npos);
+  EXPECT_NE(text.find("stages : 0 fused"), std::string::npos);
+  EXPECT_EQ(text.find("fusion"), std::string::npos);
   EXPECT_NE(text.find("dps"), std::string::npos);
 }
 

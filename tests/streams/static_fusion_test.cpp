@@ -140,29 +140,25 @@ TEST(StaticPipeline, PeekObservesEveryElement) {
   EXPECT_EQ(out.front(), -1);
 }
 
-TEST(StaticPipeline, FusionOffFallsBackWithIdenticalResults) {
-  const auto build = [](bool fusion) {
-    return pls::pipe(map([](std::int64_t v) { return v * 7 + 1; }),
-                     filter([](std::int64_t v) { return v % 5 != 0; }))
-        .over(iota(200))
-        .with_fusion(fusion)
-        .to_vector();
-  };
-  EXPECT_EQ(build(true), build(false));
-}
-
-TEST(StaticPipeline, NonAdmissibleSourceFallsBack) {
-  // iterate() is unsized at the tail: fusion refuses it, the static
-  // pipeline dissolves into dynamic wrappers, results stay correct.
+TEST(StaticPipeline, UnsizedSourceRunsFused) {
+  // iterate() is unsized: the fuse step adopts it as the source under
+  // the limit stage, and the static stack runs on top of that.
+  const auto before = pls::observe::aggregate_counters();
   auto out = Stream<std::int64_t>::iterate(
                  1, [](std::int64_t v) { return v * 2; })
                  .limit(10)
                  .stages(map([](std::int64_t v) { return v + 1; }))
                  .to_vector();
+  const auto delta = pls::observe::aggregate_counters() - before;
   std::vector<std::int64_t> expected;
   std::int64_t v = 1;
   for (int i = 0; i < 10; ++i, v *= 2) expected.push_back(v + 1);
   EXPECT_EQ(out, expected);
+  EXPECT_EQ(streams::last_plan().origin, streams::PlanOrigin::kStatic);
+  EXPECT_EQ(streams::last_plan().stages, 2u);  // limit + the static stack
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(delta.fused_leaves, 1u);
+  }
 }
 
 TEST(StaticPipeline, StaticChainRunsFusedOnAdmissibleSource) {
