@@ -13,7 +13,9 @@
 // The registry is always-on when compiled in (like counters): appending is
 // one mutex acquisition per *terminal* — not per element or per task — so
 // it is never on a hot path. A fixed-capacity keep-latest ring bounds
-// memory; total() stays monotone so consumers can detect overwrite.
+// memory; total() stays monotone so consumers can detect overwrite. The
+// ring is one preallocated array of fixed-size records (no per-record
+// allocation), so a full history costs kMaxRecords * sizeof(RunRecord).
 //
 // With PLS_OBSERVE=0 the registry collapses to an empty shell (RunRecord
 // itself stays real so reporting code needs no #if).
@@ -21,9 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "observe/config.hpp"
@@ -32,21 +32,23 @@
 namespace pls::observe {
 
 /// One executed terminal. Plain data, real in both build modes. Name
-/// fields are pre-rendered strings (terminal_name(...) etc.) so this
-/// header does not depend on streams/plan.hpp — the emitting layer
-/// renders, the registry stores.
+/// fields are pre-rendered names (terminal_name(...) etc.) so this header
+/// does not depend on streams/plan.hpp — the emitting layer renders, the
+/// registry stores. They must point at strings of static storage duration
+/// (the renderers return literals): a record then owns no heap memory and
+/// the full 4096-record ring stays under 1 MB.
 struct RunRecord {
   std::uint64_t sequence = 0;  ///< monotone append index (stamped here)
   double t_ms = 0.0;           ///< steady_now_ms() at append
 
   // Plan identity and verdicts.
   std::uint64_t cache_key = 0;
-  std::string terminal;
-  std::string origin;
-  std::string drive;
-  std::string grain_source;
-  std::string kernel;
-  std::string dps_reason;
+  const char* terminal = "";
+  const char* origin = "";
+  const char* drive = "";
+  const char* grain_source = "";
+  const char* kernel = "";
+  const char* dps_reason = "";
   bool parallel = false;
   bool dps = false;
   std::uint32_t parallelism = 0;
@@ -80,22 +82,25 @@ class RunRegistry {
     std::lock_guard<std::mutex> lock(mutex_);
     rec.sequence = total_++;
     rec.t_ms = steady_now_ms();
-    if (records_.size() == kMaxRecords) records_.pop_front();
-    records_.push_back(std::move(rec));
-    return records_.back().sequence;
+    if (ring_.size() < kMaxRecords) {
+      ring_.push_back(rec);
+    } else {
+      ring_[oldest_] = rec;  // overwrite the oldest record
+      oldest_ = (oldest_ + 1) % kMaxRecords;
+    }
+    return rec.sequence;
   }
 
   /// Copy of the retained records, oldest first.
-  std::vector<RunRecord> records() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return std::vector<RunRecord>(records_.begin(), records_.end());
-  }
+  std::vector<RunRecord> records() const { return records_since(0); }
 
-  /// Retained records with sequence >= `from` (for session-scoped views).
+  /// Retained records with sequence >= `from` (for session-scoped views),
+  /// oldest first.
   std::vector<RunRecord> records_since(std::uint64_t from) const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<RunRecord> out;
-    for (const RunRecord& r : records_) {
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const RunRecord& r = ring_[(oldest_ + i) % ring_.size()];
       if (r.sequence >= from) out.push_back(r);
     }
     return out;
@@ -109,14 +114,16 @@ class RunRegistry {
 
   void clear() {
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.clear();
+    ring_.clear();
+    oldest_ = 0;
   }
 
  private:
-  RunRegistry() = default;
+  RunRegistry() { ring_.reserve(kMaxRecords); }
 
   mutable std::mutex mutex_;
-  std::deque<RunRecord> records_;
+  std::vector<RunRecord> ring_;  ///< capacity kMaxRecords, never reallocated
+  std::size_t oldest_ = 0;       ///< index of the oldest record once full
   std::uint64_t total_ = 0;
 };
 

@@ -150,7 +150,8 @@ struct config {
   unsigned parallelism = 0;
   /// Decomposition grain: leaf size for skeleton executors, minimum chunk
   /// for stream terminal operations. 0 selects each layer's default
-  /// (Java-style n/(4P) for streams, 1 for skeletons).
+  /// (Java-style n/(4P) for streams, n/P for interleaved zip sources, 1
+  /// for skeletons).
   std::size_t grain = 0;
   /// Enable span tracing for the session and report counter deltas.
   /// Counters are always collected when compiled in (PLS_OBSERVE=1);

@@ -15,7 +15,9 @@
 // Subclasses may override on_split() to perform the paper's "additional
 // operations at the splitting phase", and for_each_remaining() to
 // specialise the basic-case computation on the sublists where splitting
-// stopped (Section V).
+// stopped (Section V). The fused evaluator pulls try_chunk() before
+// for_each_remaining(), so such a subclass must also override try_chunk()
+// (to decline, or to apply the same computation).
 #pragma once
 
 #include <memory>
@@ -82,16 +84,23 @@ class SpliteratorPower2 : public streams::Spliterator<T>,
 
   /// Unit-stride windows are contiguous storage: hand the span straight to
   /// the fused chunk transport (and its SIMD collector kernels) with no
-  /// per-element indirection. Strided windows (zip split products) keep
-  /// the element-at-a-time protocol.
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
-    if (incr_ != 1 || count_ == 0) return {nullptr, 0};
+  /// copy. Strided windows (zip split products) gather the next span into
+  /// `scratch` in one tight loop, so they reach the same kernels at one
+  /// copy per element and no per-element call.
+  std::pair<const T*, std::size_t> try_chunk(T* scratch,
+                                             std::size_t max_n) override {
     const std::size_t n = count_ < max_n ? count_ : max_n;
-    const T* p = data_->data() + start_;
-    start_ += n;
+    if (n == 0 || (incr_ != 1 && scratch == nullptr)) return {nullptr, 0};
+    const T* src = data_->data() + start_;
+    const T* out = src;
+    if (incr_ != 1) {
+      const std::size_t incr = incr_;  // stores to scratch may alias incr_
+      for (std::size_t k = 0; k < n; ++k) scratch[k] = src[k * incr];
+      out = scratch;
+    }
+    start_ += n * incr_;
     count_ -= n;
-    return {p, n};
+    return {out, n};
   }
 
   std::size_t start() const noexcept { return start_; }
@@ -151,6 +160,12 @@ class ZipSpliterator : public SpliteratorPower2<T> {
 
   explicit ZipSpliterator(std::shared_ptr<const std::vector<T>> data)
       : SpliteratorPower2<T>(data, 0, 1, data ? data->size() : 0) {}
+
+  /// Zip siblings stride through the same storage: INTERLEAVED, which
+  /// steers the planner to one leaf per worker (streams/plan.hpp).
+  streams::Characteristics characteristics() const override {
+    return SpliteratorPower2<T>::characteristics() | streams::kInterleaved;
+  }
 
   std::unique_ptr<streams::Spliterator<T>> try_split() override {
     // Zip only deconstructs even-length lists (PowerLists always are).

@@ -92,8 +92,7 @@ class BatchSpliterator final : public streams::Spliterator<T>,
     begin_ = end_;
   }
 
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
+  std::pair<const T*, std::size_t> try_chunk(T*, std::size_t max_n) override {
     const std::size_t remaining = end_ - begin_;
     const std::size_t n = remaining < max_n ? remaining : max_n;
     if (n == 0) return {nullptr, 0};

@@ -4,7 +4,8 @@
 // can be partitioned by exact size, SUBSIZED guarantees splits stay sized,
 // and the POWER2 extension — introduced by the paper — marks sources whose
 // element count is a power of two, the admission condition for PowerList
-// functions.
+// functions. INTERLEAVED marks sources whose splits stride through the
+// same memory (zip), which changes the cheapest split grain.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,11 @@ inline constexpr Characteristics kSubsized = 0x0020;
 /// Extension (Section IV-A of the paper): the element count is a power of
 /// two, so tie/zip decompositions are well defined all the way down.
 inline constexpr Characteristics kPower2 = 0x0100;
+/// Extension: split products interleave — siblings share every cache line
+/// of the source (the PowerList zip split). The planner gives such
+/// sources one leaf per worker instead of the Java-style n/(4P) grain,
+/// because each extra leaf streams the whole source's lines again.
+inline constexpr Characteristics kInterleaved = 0x0200;
 
 inline constexpr bool has_characteristics(Characteristics set,
                                           Characteristics wanted) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <typeinfo>
 #include <utility>
 #include <vector>
@@ -289,27 +290,35 @@ class FusedPipelineImpl final : public FusedPipeline {
     }
   }
 
-  /// Chunked transport: contiguous sources hand whole spans straight into
-  /// the chain (zero copies, zero per-element calls at the seam);
-  /// computed sources batch through a buffer at one indirect call per
-  /// element. Non-copyable elements fall back to element pushes.
+  /// Chunked transport, one scratch buffer of kFusionChunk elements per
+  /// drive. Contiguous sources hand whole spans of their own storage
+  /// straight into the chain (zero copies); strided sources then gather
+  /// kFusionChunk windows into the scratch (one copy, no per-element
+  /// call); computed sources batch for_each_remaining through the same
+  /// scratch at one indirect call per element. Elements that cannot sit
+  /// in a scratch buffer get the zero-copy spans, then element pushes.
   void drive_bulk(Sink<S>& head) {
-    for (;;) {
-      const auto [p, n] = source_->try_contiguous_chunk(~std::size_t{0});
-      if (p == nullptr) break;
-      head.accept_chunk(p, n);
-    }
-    if constexpr (std::is_copy_constructible_v<S>) {
-      std::vector<S> buf;
-      buf.reserve(kFusionChunk);
+    const auto pump = [&](S* scratch, std::size_t max_n) {
+      for (;;) {
+        const auto [p, n] = source_->try_chunk(scratch, max_n);
+        if (p == nullptr) return;
+        head.accept_chunk(p, n);
+      }
+    };
+    pump(nullptr, ~std::size_t{0});
+    if constexpr (std::is_default_constructible_v<S> &&
+                  std::is_copy_assignable_v<S>) {
+      const auto scratch = std::make_unique_for_overwrite<S[]>(kFusionChunk);
+      pump(scratch.get(), kFusionChunk);
+      std::size_t k = 0;
       source_->for_each_remaining([&](const S& v) {
-        buf.push_back(v);
-        if (buf.size() == kFusionChunk) {
-          head.accept_chunk(buf.data(), buf.size());
-          buf.clear();
+        scratch[k++] = v;
+        if (k == kFusionChunk) {
+          head.accept_chunk(scratch.get(), k);
+          k = 0;
         }
       });
-      if (!buf.empty()) head.accept_chunk(buf.data(), buf.size());
+      if (k != 0) head.accept_chunk(scratch.get(), k);
     } else {
       source_->for_each_remaining([&](const S& v) { head.accept(v); });
     }

@@ -355,10 +355,10 @@ class SortedSpliterator final : public Spliterator<T>,
     inner_->for_each_remaining(action);
   }
 
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
+  std::pair<const T*, std::size_t> try_chunk(T* scratch,
+                                             std::size_t max_n) override {
     ensure_buffered();
-    return inner_->try_contiguous_chunk(max_n);
+    return inner_->try_chunk(scratch, max_n);
   }
 
   std::unique_ptr<Spliterator<T>> try_split() override {

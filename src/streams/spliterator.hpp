@@ -80,14 +80,18 @@ class Spliterator {
     }
   }
 
-  /// Bulk-pull hook for the fused evaluator (streams/fusion.hpp): when
-  /// the remaining elements live contiguously in memory, return a pointer
-  /// to the next min(max_n, remaining) of them and mark those consumed;
-  /// return {nullptr, 0} otherwise (the default). Lets a fused leaf feed
-  /// an array source's own storage straight into the sink chain with zero
-  /// copies and zero per-element calls at the source seam.
-  virtual std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) {
+  /// Bulk-pull hook for the fused evaluator (streams/fusion.hpp): hand
+  /// over the next min(max_n, remaining) elements as one span and mark
+  /// them consumed. A source whose remaining elements are contiguous
+  /// returns a pointer into its own storage and leaves `scratch` alone
+  /// (zero copies). A strided source copies the span into `scratch`,
+  /// which holds at least max_n elements, and returns `scratch`; given a
+  /// null `scratch` it declines. Declining is {nullptr, 0} (the default),
+  /// after which the caller drains the rest through for_each_remaining.
+  /// Either way the leaf pays no per-element call at the source seam.
+  virtual std::pair<const T*, std::size_t> try_chunk(T* scratch,
+                                                     std::size_t max_n) {
+    (void)scratch;
     (void)max_n;
     return {nullptr, 0};
   }

@@ -48,8 +48,7 @@ class ArraySpliterator final : public Spliterator<T>, public WindowedSource {
     begin_ = end_;
   }
 
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
+  std::pair<const T*, std::size_t> try_chunk(T*, std::size_t max_n) override {
     const std::size_t remaining = end_ - begin_;
     const std::size_t n = remaining < max_n ? remaining : max_n;
     if (n == 0) return {nullptr, 0};
@@ -218,19 +217,19 @@ class ConcatSpliterator final : public Spliterator<T> {
   }
 
   /// Forwards to the first part until it is exhausted, then to the
-  /// second. A non-contiguous first part yields {nullptr, 0}, leaving the
+  /// second. A first part that declines yields {nullptr, 0}, leaving the
   /// rest to for_each_remaining.
-  std::pair<const T*, std::size_t> try_contiguous_chunk(
-      std::size_t max_n) override {
+  std::pair<const T*, std::size_t> try_chunk(T* scratch,
+                                             std::size_t max_n) override {
     if (first_ != nullptr) {
-      const auto chunk = first_->try_contiguous_chunk(max_n);
+      const auto chunk = first_->try_chunk(scratch, max_n);
       if (chunk.first != nullptr) return chunk;
       if (!first_->has(kSized) || first_->estimate_size() != 0) {
         return {nullptr, 0};
       }
       first_.reset();
     }
-    return second_->try_contiguous_chunk(max_n);
+    return second_->try_chunk(scratch, max_n);
   }
 
   std::unique_ptr<Spliterator<T>> try_split() override {
@@ -248,8 +247,9 @@ class ConcatSpliterator final : public Spliterator<T> {
   Characteristics characteristics() const override {
     Characteristics c = second_->characteristics();
     if (first_ != nullptr) c &= first_->characteristics();
-    // Concatenation does not preserve sortedness/distinctness/POWER2.
-    return c & ~(kSorted | kDistinct | kPower2);
+    // Concatenation does not preserve sortedness/distinctness/POWER2, and
+    // its first split (the two parts) does not interleave.
+    return c & ~(kSorted | kDistinct | kPower2 | kInterleaved);
   }
 
  private:

@@ -329,7 +329,7 @@ TEST(MetricsExport, RunLogOneRecordPerTerminalAndRecount) {
           << "expected exactly one run record per executed terminal";
       // The last record correlates with the thread's last plan.
       EXPECT_EQ(runs.back().cache_key, s.plan().cache_key);
-      EXPECT_EQ(runs.back().terminal, "power_function");
+      EXPECT_STREQ(runs.back().terminal, "power_function");
       for (const obs::RunRecord& r : runs) {
         EXPECT_GT(r.counters.elements_accumulated, 0u);
         expected_elements += r.counters.elements_accumulated;

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "powerlist/algorithms/hadamard.hpp"
 #include "powerlist/algorithms/polynomial.hpp"
+#include "streams/plan.hpp"
+#include "support/simd.hpp"
 
 namespace {
 
@@ -42,6 +45,40 @@ TEST(IdentityExample, ZipSplitZipAllReconstructsParallel) {
                        .with_min_chunk(4)
                        .collect(to_power_array_zip<double>());
   EXPECT_EQ(out.values(), *data);
+}
+
+TEST(IdentityExample, ZipParallelCollectIsBitIdenticalOnBothRoutes) {
+  // Default grain (one interleaved leaf per worker): strided leaves gather
+  // kFusionChunk spans, and both the classic zip_all combine route and
+  // the destination-passing route must rebuild the source exactly.
+  std::vector<std::unique_ptr<ForkJoinPool>> pools;
+  for (unsigned p = 1; p <= 4; ++p) {
+    pools.push_back(std::make_unique<ForkJoinPool>(p));
+  }
+  for (unsigned lg = 0; lg <= 14; ++lg) {
+    const std::size_t n = std::size_t{1} << lg;
+    std::vector<double> v(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = std::sin(static_cast<double>(i) * 0.37) * 1e3 + 1e-7 * i;
+    }
+    auto data = std::make_shared<const std::vector<double>>(std::move(v));
+    for (auto& pool : pools) {
+      for (const bool dps : {false, true}) {
+        auto sp = std::make_unique<ZipSpliterator<double>>(data);
+        const auto out =
+            stream_support::from_spliterator<double>(std::move(sp), true)
+                .via(*pool)
+                .with_sized_sink(dps)
+                .collect(to_power_array_zip<double>());
+        EXPECT_EQ(pls::streams::last_plan().dps, dps);
+        ASSERT_EQ(out.size(), n);
+        EXPECT_EQ(std::memcmp(out.values().data(), data->data(),
+                              n * sizeof(double)),
+                  0)
+            << "n=" << n << " P=" << pool->parallelism() << " dps=" << dps;
+      }
+    }
+  }
 }
 
 TEST(IdentityExample, TieSplitTieAllReconstructs) {
@@ -161,6 +198,38 @@ TEST(PolynomialStream, VariousChunkTargetsAgree) {
     EXPECT_NEAR(evaluate_polynomial_stream(shared, x, true, cfg), expected,
                 1e-8)
         << "chunk=" << chunk;
+  }
+}
+
+TEST(PolynomialStream, ParallelMatchesScalarHornerAcrossPoolsAndKernels) {
+  // The parallel zip evaluation (strided leaves gathered into the chunk
+  // kernel) against the exact sequential fold, within the tolerance the
+  // benchmark harness applies: 1e-9 * sum_i |a_i| |x|^(n-1-i).
+  std::vector<std::unique_ptr<ForkJoinPool>> pools;
+  for (unsigned p = 1; p <= 4; ++p) {
+    pools.push_back(std::make_unique<ForkJoinPool>(p));
+  }
+  const double x = 0.9999993;
+  for (unsigned lg = 0; lg <= 14; ++lg) {
+    const std::size_t n = std::size_t{1} << lg;
+    std::vector<double> c(n);
+    double scale = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      c[i] = std::sin(static_cast<double>(i) * 1.3) - 0.25;
+      scale = scale * x + std::fabs(c[i]);
+    }
+    const double ref = pls::simd::horner_chunk_scalar(0.0, x, c.data(), n);
+    auto shared = std::make_shared<const std::vector<double>>(std::move(c));
+    for (auto& pool : pools) {
+      for (const bool simd : {true, false}) {
+        pls::streams::ExecutionConfig cfg;
+        cfg.pool = pool.get();
+        const double got =
+            evaluate_polynomial_stream(shared, x, true, cfg, simd);
+        EXPECT_LE(std::fabs(got - ref), 1e-9 * scale)
+            << "n=" << n << " P=" << pool->parallelism() << " simd=" << simd;
+      }
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -173,9 +174,9 @@ TEST(ServiceDriver, OneRunRecordPerDrainedBatch) {
 
   std::uint64_t service_records = 0;
   for (const auto& rec : registry.records_since(before)) {
-    if (rec.origin == "service") {
+    if (std::string_view(rec.origin) == "service") {
       ++service_records;
-      EXPECT_EQ(rec.drive, "sequential");
+      EXPECT_STREQ(rec.drive, "sequential");
       EXPECT_GT(rec.source_size, 0u);
       EXPECT_LE(rec.source_size, 8u);
     }

@@ -295,6 +295,43 @@ TEST(FusedPipelineReuse, BatchSpliteratorResetReplaysAndRebinds) {
   EXPECT_EQ(replay.out, second);
 }
 
+TEST(FusedPipelineReuse, BatchSpliteratorForwardsTheBoundSpanItself) {
+  // The bulk hook hands the bound micro-batch over in place: the pointer
+  // is the caller's storage, bounded by max_n, and the scratch buffer is
+  // never written. A fused drive passes the whole batch as one chunk.
+  const std::vector<long> batch{5, -3, 9, 12, 40};
+  service::BatchSpliterator<long> src;
+  src.bind(batch.data(), batch.size());
+  std::vector<long> scratch(2, -1);
+  const auto [p, n] = src.try_chunk(scratch.data(), 2);
+  EXPECT_EQ(p, batch.data());
+  EXPECT_EQ(n, 2u);
+  const auto [q, m] = src.try_chunk(nullptr, ~std::size_t{0});
+  EXPECT_EQ(q, batch.data() + 2);
+  EXPECT_EQ(m, 3u);
+  EXPECT_EQ(src.try_chunk(scratch.data(), 2).first, nullptr);
+  EXPECT_EQ(scratch, std::vector<long>(2, -1));
+
+  class ChunkSink final : public streams::Sink<long> {
+   public:
+    void accept(const long& v) override { out.push_back(v); }
+    void accept_chunk(const long* v, std::size_t k) override {
+      chunks.push_back(v);
+      out.insert(out.end(), v, v + k);
+    }
+    std::vector<const long*> chunks;
+    std::vector<long> out;
+  };
+  auto owned = std::make_unique<service::BatchSpliterator<long>>();
+  owned->bind(batch.data(), batch.size());
+  std::unique_ptr<streams::Spliterator<long>> sp = std::move(owned);
+  auto fused = streams::fuse_source<long>(sp);
+  ChunkSink sink;
+  fused->drive(sink);
+  EXPECT_EQ(sink.chunks, std::vector<const long*>{batch.data()});
+  EXPECT_EQ(sink.out, batch);
+}
+
 // ---- ExecutionConfig service knobs ------------------------------------
 
 TEST(ServiceConfig, KnobsRoundTripThroughSessionStreamConfig) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "forkjoin/pool.hpp"
+#include "powerlist/spliterators.hpp"
 #include "streams/collectors.hpp"
 #include "streams/parallel_eval.hpp"
 #include "streams/spliterators.hpp"
@@ -40,6 +41,14 @@ std::shared_ptr<const std::vector<int>> ints(std::size_t n) {
 
 std::unique_ptr<streams::Spliterator<int>> array_source(std::size_t n) {
   return std::make_unique<ArraySpliterator<int>>(ints(n));
+}
+
+std::unique_ptr<streams::Spliterator<int>> zip_source(std::size_t n) {
+  return std::make_unique<pls::powerlist::ZipSpliterator<int>>(ints(n));
+}
+
+std::unique_ptr<streams::Spliterator<int>> tie_source(std::size_t n) {
+  return std::make_unique<pls::powerlist::TieSpliterator<int>>(ints(n));
 }
 
 // ---- DPS admission (plan_dps_window) --------------------------------
@@ -164,6 +173,89 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
     EXPECT_LE(planned.plan.grain, streams::default_grain(1024, 2));
   }
   PlanCache::global().clear();
+}
+
+TEST(PlanGrain, ZipSourceGetsOneLeafPerWorker) {
+  pls::forkjoin::ForkJoinPool pool(3);
+  auto sp = zip_source(1 << 12);
+  const auto cfg = ExecutionConfig{}.with_pool(pool);
+  auto planned = streams::plan_pipeline<int>(
+      sp, TerminalKind::kCollect, true, false, true, cfg);
+  const ExecutionPlan& p = planned.plan;
+  EXPECT_TRUE(p.interleaved);
+  EXPECT_EQ(p.grain, (1u << 12) / 3);
+  EXPECT_EQ(p.grain, streams::interleaved_grain(1 << 12, 3));
+  EXPECT_EQ(p.grain_source, GrainSource::kInterleaved);
+  const std::string text = p.explain();
+  EXPECT_NE(text.find("(interleaved n/P)"), std::string::npos) << text;
+  EXPECT_NE(text.find(", interleaved"), std::string::npos) << text;
+}
+
+TEST(PlanGrain, InterleavedGrainFloorsAtOne) {
+  EXPECT_EQ(streams::interleaved_grain(2, 4), 1u);
+  EXPECT_EQ(streams::interleaved_grain(0, 3), 1u);
+  EXPECT_EQ(streams::interleaved_grain(1 << 20, 1), 1u << 20);
+}
+
+TEST(PlanGrain, TieSourceKeepsJavaQuarterRule) {
+  pls::forkjoin::ForkJoinPool pool(3);
+  auto sp = tie_source(1 << 12);
+  const auto cfg = ExecutionConfig{}.with_pool(pool);
+  auto planned = streams::plan_pipeline<int>(
+      sp, TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_FALSE(planned.plan.interleaved);
+  EXPECT_EQ(planned.plan.grain, streams::default_grain(1 << 12, 3));
+  EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
+  EXPECT_EQ(planned.plan.explain().find("interleaved"), std::string::npos);
+}
+
+TEST(PlanGrain, ExplicitMinChunkBeatsInterleavedGrain) {
+  pls::forkjoin::ForkJoinPool pool(3);
+  auto sp = zip_source(1 << 12);
+  const auto cfg = ExecutionConfig{}.with_pool(pool).with_min_chunk(64);
+  auto planned = streams::plan_pipeline<int>(
+      sp, TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_EQ(planned.plan.grain, 64u);
+  EXPECT_EQ(planned.plan.grain_source, GrainSource::kExplicit);
+}
+
+TEST(PlanGrain, PlantedProfileDoesNotRefineZipPlan) {
+  // Auto-grain's leaf-time budget would split a zip source back into
+  // leaves that share cache lines; the interleaved grain ignores it.
+  pls::forkjoin::ForkJoinPool pool(3);
+  PlanCache::global().clear();
+  const auto cfg =
+      ExecutionConfig{}.with_pool(pool).with_auto_grain(true);
+  auto first = zip_source(1 << 12);
+  const auto before = streams::plan_pipeline<int>(
+      first, TerminalKind::kCollect, true, false, true, cfg);
+  PlanProfile prof;
+  prof.samples = 1;
+  prof.per_element_ns = 1e4;
+  prof.tuned_grain =
+      PlanCache::tuned_grain_for(1 << 12, 3, prof.per_element_ns);
+  ASSERT_LT(prof.tuned_grain, before.plan.grain);
+  PlanCache::global().put(before.plan.cache_key, prof);
+  auto second = zip_source(1 << 12);
+  const auto after = streams::plan_pipeline<int>(
+      second, TerminalKind::kCollect, true, false, true, cfg);
+  PlanCache::global().clear();
+  EXPECT_EQ(after.plan.cache_key, before.plan.cache_key);
+  EXPECT_EQ(after.plan.grain, before.plan.grain);
+  EXPECT_EQ(after.plan.grain_source, GrainSource::kInterleaved);
+}
+
+TEST(PlanGrain, ConcatOfZipSourcesIsNotInterleaved) {
+  // The concat's own split hands over its first part, not a stride.
+  pls::forkjoin::ForkJoinPool pool(3);
+  std::unique_ptr<streams::Spliterator<int>> sp =
+      std::make_unique<streams::ConcatSpliterator<int>>(zip_source(64),
+                                                        zip_source(64));
+  const auto cfg = ExecutionConfig{}.with_pool(pool);
+  auto planned = streams::plan_pipeline<int>(
+      sp, TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_FALSE(planned.plan.interleaved);
+  EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
 }
 
 TEST(PlanCachePolicy, TunedGrainBounds) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -9,6 +10,7 @@
 namespace {
 
 using pls::streams::ArraySpliterator;
+using pls::streams::ConcatSpliterator;
 using pls::streams::GenerateSpliterator;
 using pls::streams::RangeSpliterator;
 using pls::streams::Spliterator;
@@ -147,6 +149,66 @@ TEST(GenerateSpliterator, SplitSharesGenerator) {
   auto prefix = sp.try_split();
   EXPECT_EQ(drain(*prefix), (std::vector<int>{0, 2, 4, 6}));
   EXPECT_EQ(drain(sp), (std::vector<int>{8, 10, 12, 14}));
+}
+
+// ---- the bulk hook: try_chunk ----------------------------------------
+
+TEST(ArraySpliterator, ChunkIsTheStoragePointerAndLeavesScratchAlone) {
+  auto data = shared_iota(10);
+  ArraySpliterator<int> sp(data, 2, 10);
+  std::vector<int> scratch(4, -1);
+  const auto [p, n] = sp.try_chunk(scratch.data(), 4);
+  EXPECT_EQ(p, data->data() + 2);
+  EXPECT_EQ(n, 4u);
+  const auto [q, m] = sp.try_chunk(nullptr, ~std::size_t{0});
+  EXPECT_EQ(q, data->data() + 6);
+  EXPECT_EQ(m, 4u);
+  EXPECT_EQ(sp.try_chunk(scratch.data(), 4).first, nullptr);
+  EXPECT_EQ(scratch, std::vector<int>(4, -1));
+}
+
+TEST(RangeSpliterator, ComputedSourceDeclinesTheChunkHook) {
+  RangeSpliterator<int> sp(0, 8);
+  std::vector<int> scratch(8);
+  const auto [p, n] = sp.try_chunk(scratch.data(), 8);
+  EXPECT_EQ(p, nullptr);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(drain(sp), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ConcatSpliterator, ForwardsStorageChunksOfBothPartsInOrder) {
+  auto lo = shared_iota(5);
+  auto hi = shared_iota(7);
+  ConcatSpliterator<int> sp(std::make_unique<ArraySpliterator<int>>(lo),
+                            std::make_unique<ArraySpliterator<int>>(hi));
+  std::vector<int> scratch(3, -1);
+  std::vector<const int*> starts;
+  std::vector<int> out;
+  for (;;) {
+    const auto [p, n] = sp.try_chunk(scratch.data(), 3);
+    if (p == nullptr) break;
+    ASSERT_LE(n, 3u);
+    starts.push_back(p);
+    out.insert(out.end(), p, p + n);
+  }
+  // 5 = 3 + 2 from the first part, 7 = 3 + 3 + 1 from the second: chunks
+  // never straddle the seam, and every one points into its part.
+  EXPECT_EQ(starts, (std::vector<const int*>{
+                        lo->data(), lo->data() + 3, hi->data(),
+                        hi->data() + 3, hi->data() + 6}));
+  std::vector<int> expected = *lo;
+  expected.insert(expected.end(), hi->begin(), hi->end());
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(scratch, std::vector<int>(3, -1));
+}
+
+TEST(ConcatSpliterator, DecliningFirstPartLeavesTheRestToTraversal) {
+  auto hi = shared_iota(3);
+  ConcatSpliterator<int> sp(std::make_unique<RangeSpliterator<int>>(10, 12),
+                            std::make_unique<ArraySpliterator<int>>(hi));
+  std::vector<int> scratch(4);
+  EXPECT_EQ(sp.try_chunk(scratch.data(), 4).first, nullptr);
+  EXPECT_EQ(drain(sp), (std::vector<int>{10, 11, 0, 1, 2}));
 }
 
 }  // namespace
