@@ -6,9 +6,6 @@
 
 namespace pls::forkjoin {
 
-thread_local ForkJoinPool::Worker* ForkJoinPool::tls_worker_ = nullptr;
-thread_local ForkJoinPool* ForkJoinPool::tls_pool_ = nullptr;
-
 ForkJoinPool::ForkJoinPool(unsigned parallelism) {
   PLS_CHECK(parallelism >= 1, "ForkJoinPool needs at least one worker");
   workers_.reserve(parallelism);

@@ -369,8 +369,10 @@ class ForkJoinPool {
   ForkScheduleHook* schedule_hook_ = nullptr;
   std::uint64_t metrics_source_ = 0;  ///< MetricsRegistry token (0 = none)
 
-  static thread_local Worker* tls_worker_;
-  static thread_local ForkJoinPool* tls_pool_;
+  // Defined inline so the zero-initialised declarations are constant
+  // initialised: reads need no TLS wrapper call.
+  static inline thread_local Worker* tls_worker_ = nullptr;
+  static inline thread_local ForkJoinPool* tls_pool_ = nullptr;
 };
 
 }  // namespace pls::forkjoin

@@ -2,21 +2,25 @@
 //
 // JPLF's key design point (Section III) is that execution is managed
 // separately from function definition; these executors all consume the
-// same PowerFunction interface:
-//   execute_sequential — plain depth-first recursion;
-//   execute_forkjoin   — both halves through ForkJoinPool::invoke_two;
-//   execute_simulated  — depth-first recursion that additionally records
-//                        the fork-join task tree with the function's
-//                        operation counts, then schedules it on P virtual
+// same PowerFunction interface and run the same split-tree walk,
+// detail::run:
+//   execute_sequential — the walk with both halves inline, depth first;
+//   execute_forkjoin   — the walk with both halves through
+//                        ForkJoinPool::invoke_two;
+//   execute_simulated  — the sequential walk for the result, plus the
+//                        fork-join task tree priced with the function's
+//                        operation counts, scheduled on P virtual
 //                        processors (the stand-in for the paper's 8-core
 //                        testbed; see DESIGN.md, Substitutions).
-// A fourth executor runs over the message-passing simulation
-// (src/mpisim/power_executor.hpp).
+// Halving is uniform, so the decomposition shape and the simulator's task
+// tree follow in closed form from (length, leaf_size); neither needs a
+// walk of its own. A fourth executor runs over the message-passing
+// simulation (src/mpisim/power_executor.hpp).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,23 +44,15 @@ namespace pls::powerlist {
 
 namespace detail {
 
+/// The split-tree walk. With `pool == nullptr` both halves run inline,
+/// left first; otherwise they run through `pool->invoke_two`. Spans,
+/// latency timers, counters and critical-path phases are recorded on both
+/// paths (all inert under PLS_OBSERVE=0; `cp == nullptr` disables the
+/// phases).
 template <typename T, typename R, typename Ctx>
-R run_sequential(const PowerFunction<T, R, Ctx>& f,
-                 PowerListView<const T> input, const Ctx& ctx,
-                 std::size_t leaf_size) {
-  if (input.length() <= leaf_size) return f.basic_case(input, ctx);
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  R left = run_sequential(f, left_view, left_ctx, leaf_size);
-  R right = run_sequential(f, right_view, right_ctx, leaf_size);
-  return f.combine(std::move(left), std::move(right), ctx, input.length());
-}
-
-template <typename T, typename R, typename Ctx>
-R run_forkjoin(forkjoin::ForkJoinPool& pool, const PowerFunction<T, R, Ctx>& f,
-               PowerListView<const T> input, const Ctx& ctx,
-               std::size_t leaf_size, unsigned depth = 0,
-               observe::CpNode* cp = nullptr) {
+R run(forkjoin::ForkJoinPool* pool, const PowerFunction<T, R, Ctx>& f,
+      PowerListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
+      unsigned depth, observe::CpNode* cp) {
   if (input.length() <= leaf_size) {
     observe::Span span(observe::EventKind::kAccumulate, input.length());
     observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
@@ -75,15 +71,19 @@ R run_forkjoin(forkjoin::ForkJoinPool& pool, const PowerFunction<T, R, Ctx>& f,
   const auto [cl, cr] = observe::cp_fork(cp);
   std::optional<R> left;
   std::optional<R> right;
-  pool.invoke_two(
-      [&, cl = cl] {
-        left.emplace(run_forkjoin(pool, f, left_view, left_ctx, leaf_size,
-                                  depth + 1, cl));
-      },
-      [&, cr = cr] {
-        right.emplace(run_forkjoin(pool, f, right_view, right_ctx, leaf_size,
-                                   depth + 1, cr));
-      });
+  auto run_left = [&, cl = cl] {
+    left.emplace(run(pool, f, left_view, left_ctx, leaf_size, depth + 1, cl));
+  };
+  auto run_right = [&, cr = cr] {
+    right.emplace(
+        run(pool, f, right_view, right_ctx, leaf_size, depth + 1, cr));
+  };
+  if (pool != nullptr) {
+    pool->invoke_two(run_left, run_right);
+  } else {
+    run_left();
+    run_right();
+  }
   observe::Span span(observe::EventKind::kCombine, depth);
   observe::CpScope phase(cp, observe::CpPhase::kCombine);
   observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
@@ -91,79 +91,9 @@ R run_forkjoin(forkjoin::ForkJoinPool& pool, const PowerFunction<T, R, Ctx>& f,
   return f.combine(std::move(*left), std::move(*right), ctx, input.length());
 }
 
-template <typename T, typename R, typename Ctx>
-R run_traced(const PowerFunction<T, R, Ctx>& f, PowerListView<const T> input,
-             const Ctx& ctx, std::size_t leaf_size,
-             simmachine::TaskTrace& trace, simmachine::TaskTrace::NodeId& id) {
-  if (input.length() <= leaf_size) {
-    id = trace.add_leaf(f.leaf_cost_ops(input.length()));
-    return f.basic_case(input, ctx);
-  }
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  simmachine::TaskTrace::NodeId left_id = 0;
-  simmachine::TaskTrace::NodeId right_id = 0;
-  R left = run_traced(f, left_view, left_ctx, leaf_size, trace, left_id);
-  R right = run_traced(f, right_view, right_ctx, leaf_size, trace, right_id);
-  id = trace.add_fork(f.descend_cost_ops(input.length()),
-                      f.combine_cost_ops(input.length()), left_id, right_id);
-  return f.combine(std::move(left), std::move(right), ctx, input.length());
-}
-
 inline std::size_t checked_leaf_size(std::size_t leaf_size) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
   return leaf_size;
-}
-
-template <typename T, typename U, typename Ctx>
-void run_sequential_into(const InplacePowerFunction<T, U, Ctx>& f,
-                         PowerListView<const T> input, PowerListView<U> out,
-                         const Ctx& ctx, std::size_t leaf_size) {
-  if (input.length() <= leaf_size) {
-    f.basic_case_into(input, out, ctx);
-    return;
-  }
-  const auto [left_in, right_in] = input.split(f.decomposition());
-  const auto [left_out, right_out] = out.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  run_sequential_into(f, left_in, left_out, left_ctx, leaf_size);
-  run_sequential_into(f, right_in, right_out, right_ctx, leaf_size);
-}
-
-template <typename T, typename U, typename Ctx>
-void run_forkjoin_into(forkjoin::ForkJoinPool& pool,
-                       const InplacePowerFunction<T, U, Ctx>& f,
-                       PowerListView<const T> input, PowerListView<U> out,
-                       const Ctx& ctx, std::size_t leaf_size,
-                       unsigned depth = 0, observe::CpNode* cp = nullptr) {
-  if (input.length() <= leaf_size) {
-    observe::Span span(observe::EventKind::kAccumulate, input.length());
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, input.length());
-    observe::local_counters().on_leaf(input.length());
-    f.basic_case_into(input, out, ctx);
-    return;
-  }
-  const std::uint64_t split_start = cp != nullptr ? observe::now_ticks() : 0;
-  const auto [left_in, right_in] = input.split(f.decomposition());
-  const auto [left_out, right_out] = out.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  if (cp != nullptr) {
-    cp->add_time(observe::CpPhase::kSplit, observe::now_ticks() - split_start);
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  pool.invoke_two(
-      [&, cl = cl] {
-        run_forkjoin_into(pool, f, left_in, left_out, left_ctx, leaf_size,
-                          depth + 1, cl);
-      },
-      [&, cr = cr] {
-        run_forkjoin_into(pool, f, right_in, right_out, right_ctx, leaf_size,
-                          depth + 1, cr);
-      });
-  // No combine phase: both halves wrote disjoint windows of `out`.
 }
 
 }  // namespace detail
@@ -175,9 +105,9 @@ R execute_sequential(
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
   detail::checked_leaf_size(leaf_size);
-  return detail::run_sequential(
-      f, PowerListView<const std::remove_const_t<TV>>(input), ctx,
-      leaf_size);
+  return detail::run(nullptr, f,
+                     PowerListView<const std::remove_const_t<TV>>(input), ctx,
+                     leaf_size, 0, nullptr);
 }
 
 /// Parallel execution on a fork-join pool. The function's hooks run
@@ -190,45 +120,8 @@ R execute_forkjoin(forkjoin::ForkJoinPool& pool,
   detail::checked_leaf_size(leaf_size);
   PowerListView<const std::remove_const_t<TV>> view(input);
   observe::CpNode* cp = observe::cp_new_root();
-  return pool.run([&] {
-    return detail::run_forkjoin(pool, f, view, ctx, leaf_size, 0, cp);
-  });
-}
-
-/// Depth-first sequential destination-passing execution: split input and
-/// destination together, let every leaf write its final window. `out`
-/// must be similar to `input` and not alias it.
-template <typename TV, typename U, typename Ctx>
-void execute_sequential_into(
-    const InplacePowerFunction<std::remove_const_t<TV>, U, Ctx>& f,
-    PowerListView<TV> input, PowerListView<U> out, Ctx ctx = Ctx{},
-    std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  PLS_CHECK(input.similar(out),
-            "destination must be similar to the input PowerList");
-  detail::run_sequential_into(
-      f, PowerListView<const std::remove_const_t<TV>>(input), out, ctx,
-      leaf_size);
-}
-
-/// Parallel destination-passing execution on a fork-join pool: the
-/// executor-side analogue of the sized-sink collect — leaves write
-/// concurrently into disjoint windows of `out`, and there is no combine
-/// phase at all. `out` must be similar to `input` and not alias it.
-template <typename TV, typename U, typename Ctx>
-void execute_forkjoin_into(
-    forkjoin::ForkJoinPool& pool,
-    const InplacePowerFunction<std::remove_const_t<TV>, U, Ctx>& f,
-    PowerListView<TV> input, PowerListView<U> out, Ctx ctx = Ctx{},
-    std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  PLS_CHECK(input.similar(out),
-            "destination must be similar to the input PowerList");
-  PowerListView<const std::remove_const_t<TV>> view(input);
-  observe::CpNode* cp = observe::cp_new_root();
-  pool.run([&] {
-    detail::run_forkjoin_into(pool, f, view, out, ctx, leaf_size, 0, cp);
-  });
+  return pool.run(
+      [&] { return detail::run(&pool, f, view, ctx, leaf_size, 0, cp); });
 }
 
 /// Structural statistics of one execution: how the skeleton actually
@@ -242,16 +135,13 @@ struct ExecutionStats {
   std::size_t max_leaf_length = 0;
 };
 
-/// Unified result of any reporting executor — the single type the
-/// instrumented, simulated, and fork-join-reported paths all return
-/// (previously three ad-hoc structs: InstrumentedExecution,
-/// SimulatedExecution, and bare ExecutionStats). Fields not produced by a
-/// given path stay default-initialised:
-///   execute_instrumented       fills result + stats;
+/// Result of any reporting executor. Fields a path does not produce stay
+/// default-initialised:
 ///   execute_simulated          fills result + stats + sim (simulated=true);
-///   execute_forkjoin_reported  fills result + stats + counters;
+///   execute_forkjoin_reported  fills result + stats + counters + plan;
 ///   execute_forkjoin_profiled  additionally fills profile + wall_ns +
 ///                              histograms (critical-path run).
+/// `stats` is always the closed-form shape (detail::uniform_shape).
 template <typename R>
 struct ExecutionReport {
   R result;
@@ -307,32 +197,6 @@ inline ExecutionStats uniform_shape(std::size_t length,
   return s;
 }
 
-template <typename T, typename R, typename Ctx>
-R run_instrumented(const PowerFunction<T, R, Ctx>& f,
-                   PowerListView<const T> input, const Ctx& ctx,
-                   std::size_t leaf_size, unsigned depth,
-                   ExecutionStats& stats) {
-  stats.max_depth = std::max(stats.max_depth, depth);
-  if (input.length() <= leaf_size) {
-    ++stats.basic_cases;
-    if (stats.min_leaf_length == 0 ||
-        input.length() < stats.min_leaf_length) {
-      stats.min_leaf_length = input.length();
-    }
-    stats.max_leaf_length = std::max(stats.max_leaf_length, input.length());
-    return f.basic_case(input, ctx);
-  }
-  ++stats.descends;
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  R left = run_instrumented(f, left_view, left_ctx, leaf_size, depth + 1,
-                            stats);
-  R right = run_instrumented(f, right_view, right_ctx, leaf_size, depth + 1,
-                             stats);
-  ++stats.combines;
-  return f.combine(std::move(left), std::move(right), ctx, input.length());
-}
-
 /// Plan describing a PowerList fork-join run in the planner's vocabulary
 /// (origin kSynthesized): the divide-and-conquer drive is fixed by the
 /// executor, so the DPS verdict reads kNotAStreamPipeline and the grain
@@ -369,42 +233,23 @@ inline streams::ExecutionPlan synthesized_plan(std::size_t length,
 
 }  // namespace detail
 
-/// Sequential execution that additionally reports how the recursion
-/// unfolded — the observable counterpart of the paper's remark that "we
-/// don't have control over the level at which parallel decomposition
-/// stops" (here we do, and the stats prove where it stopped).
-template <typename TV, typename R, typename Ctx>
-ExecutionReport<R> execute_instrumented(
-    const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
-    PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  ExecutionStats stats;
-  R result = detail::run_instrumented(
-      f, PowerListView<const std::remove_const_t<TV>>(input), ctx,
-      leaf_size, 0, stats);
-  ExecutionReport<R> report{std::move(result)};
-  report.stats = stats;
-  return report;
-}
-
-/// Execute sequentially while recording the task tree, then schedule it on
-/// the simulator's virtual processors. The report carries both the
-/// decomposition shape and the simulated schedule.
+/// Execute sequentially for the result, then schedule the function's task
+/// tree on the simulator's virtual processors. The tree is built in closed
+/// form — uniform halving, nodes in the walk's post-order — and priced with
+/// the function's cost hooks. The report carries both the decomposition
+/// shape and the simulated schedule.
 template <typename TV, typename R, typename Ctx>
 ExecutionReport<R> execute_simulated(
     const simmachine::Simulator& sim,
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  simmachine::TaskTrace trace;
-  simmachine::TaskTrace::NodeId root = 0;
-  R result = detail::run_traced(
-      f, PowerListView<const std::remove_const_t<TV>>(input), ctx, leaf_size,
-      trace, root);
-  trace.set_root(root);
-  ExecutionReport<R> report{std::move(result)};
+  ExecutionReport<R> report{execute_sequential(f, input, ctx, leaf_size)};
   report.stats = detail::uniform_shape(input.length(), leaf_size);
-  report.sim = sim.run(trace);
+  report.sim = sim.run(simmachine::TaskTrace::balanced(
+      report.stats.max_depth, input.length(),
+      [&](std::size_t len) { return f.leaf_cost_ops(len); },
+      [&](std::size_t len) { return f.descend_cost_ops(len); },
+      [&](std::size_t len) { return f.combine_cost_ops(len); }));
   report.simulated = true;
   return report;
 }
@@ -438,42 +283,34 @@ ExecutionReport<R> execute_forkjoin_reported(
   return report;
 }
 
-/// Parallel execution with full critical-path profiling: clears and
-/// enables the global CriticalPathRecorder for the duration of the run,
-/// then reports measured work T1, span T∞, per-phase attribution, the
-/// run's wall time, and the aggregated latency histograms alongside the
-/// counter delta. The recorder is process-global, so profile exactly one
-/// run at a time; report.profile is all zeros when PLS_OBSERVE=0.
+/// execute_forkjoin_reported with full critical-path profiling: clears and
+/// enables the global CriticalPathRecorder for the duration of the run
+/// (disabled again even when the run throws), then adds measured work T1,
+/// span T∞, per-phase attribution, the run's wall time, and the aggregated
+/// latency histograms to the report. The recorder is process-global, so
+/// profile exactly one run at a time; report.profile is all zeros when
+/// PLS_OBSERVE=0.
 template <typename TV, typename R, typename Ctx>
 ExecutionReport<R> execute_forkjoin_profiled(
     forkjoin::ForkJoinPool& pool,
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  const streams::ExecutionPlan plan =
-      detail::synthesized_plan(input.length(), leaf_size, pool);
-  streams::record_plan(plan);
   auto& recorder = observe::CriticalPathRecorder::global();
   recorder.clear();
   recorder.enable();
-  const observe::CounterTotals before = pool.counter_totals();
+  const auto disable = [](observe::CriticalPathRecorder* r) { r->disable(); };
+  const std::unique_ptr<observe::CriticalPathRecorder, decltype(disable)>
+      disable_on_exit(&recorder, disable);
   const auto wall0 = std::chrono::steady_clock::now();
-  std::optional<R> result;
-  {
-    streams::RunScope run_scope(plan);
-    result.emplace(execute_forkjoin(pool, f, input, ctx, leaf_size));
-  }
+  ExecutionReport<R> report =
+      execute_forkjoin_reported(pool, f, input, ctx, leaf_size);
   const auto wall1 = std::chrono::steady_clock::now();
   recorder.disable();
-  ExecutionReport<R> report{std::move(*result)};
-  report.stats = detail::uniform_shape(input.length(), leaf_size);
-  report.counters = pool.counter_totals() - before;
   report.profile = recorder.analyze();
   report.histograms = observe::aggregate_histograms();
   report.wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)
           .count());
-  report.plan = plan;
   return report;
 }
 

@@ -80,53 +80,4 @@ class PowerFunction {
   }
 };
 
-/// A PowerList function with a *similar* (same-length) PowerList result,
-/// expressed in destination-passing style: instead of returning partial
-/// results for an ascending combine phase, the leaf phase writes its
-/// outputs straight into the matching window of a caller-supplied
-/// destination view. Both views are split with the same decomposition
-/// operator, so input and output windows stay aligned at every node and
-/// the join is a no-op — the executor-side mirror of the sized-sink
-/// collect (docs/execution.md).
-template <typename T, typename U = T, typename Ctx = NoContext>
-class InplacePowerFunction {
- public:
-  using input_type = T;
-  using output_type = U;
-  using context_type = Ctx;
-
-  virtual ~InplacePowerFunction() = default;
-
-  /// Which deconstruction operator splits both argument and destination.
-  virtual DecompositionOp decomposition() const {
-    return DecompositionOp::kTie;
-  }
-
-  /// Leaf phase: compute the function on `leaf` and write the results
-  /// into `out` (similar to `leaf`; these are the elements' final
-  /// positions). Runs concurrently under the fork-join executor; distinct
-  /// leaves always receive disjoint destination windows.
-  virtual void basic_case_into(PowerListView<const T> leaf,
-                               PowerListView<U> out,
-                               const Ctx& ctx) const = 0;
-
-  /// Descending phase: contexts for the two halves (default: copy).
-  virtual std::pair<Ctx, Ctx> descend(const Ctx& ctx,
-                                      std::size_t length) const {
-    (void)length;
-    return {ctx, ctx};
-  }
-
-  // ---- cost hooks (as in PowerFunction; no combine cost — there is no
-  // combine phase) -----------------------------------------------------
-
-  virtual double leaf_cost_ops(std::size_t len) const {
-    return static_cast<double>(len);
-  }
-  virtual double descend_cost_ops(std::size_t len) const {
-    (void)len;
-    return 0.0;
-  }
-};
-
 }  // namespace pls::powerlist

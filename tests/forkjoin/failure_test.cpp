@@ -5,9 +5,12 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "forkjoin/parallel.hpp"
 #include "forkjoin/pool.hpp"
+#include "observe/critical_path.hpp"
 #include "powerlist/algorithms/map_reduce.hpp"
 #include "powerlist/executors.hpp"
 #include "streams/stream.hpp"
@@ -19,6 +22,19 @@ using pls::streams::Stream;
 
 struct Boom : std::runtime_error {
   Boom() : std::runtime_error("boom") {}
+};
+
+/// Sum whose basic case throws on any leaf starting above 100.
+struct LeafThrower final : pls::powerlist::PowerFunction<int, int> {
+  int basic_case(pls::powerlist::PowerListView<const int> leaf,
+                 const pls::powerlist::NoContext&) const override {
+    if (leaf[0] > 100) throw Boom{};
+    return leaf[0];
+  }
+  int combine(int&& l, int&& r, const pls::powerlist::NoContext&,
+              std::size_t) const override {
+    return l + r;
+  }
 };
 
 TEST(Failure, PoolSurvivesRepeatedExceptions) {
@@ -116,17 +132,7 @@ TEST(Failure, CollectorCombinerException) {
 
 TEST(Failure, PowerFunctionBasicCaseException) {
   ForkJoinPool pool(4);
-  struct Thrower final : pls::powerlist::PowerFunction<int, int> {
-    int basic_case(pls::powerlist::PowerListView<const int> leaf,
-                   const pls::powerlist::NoContext&) const override {
-      if (leaf[0] > 100) throw Boom{};
-      return leaf[0];
-    }
-    int combine(int&& l, int&& r, const pls::powerlist::NoContext&,
-                std::size_t) const override {
-      return l + r;
-    }
-  } f;
+  const LeafThrower f;
   std::vector<int> data(256);
   std::iota(data.begin(), data.end(), 0);
   EXPECT_THROW(
@@ -134,6 +140,47 @@ TEST(Failure, PowerFunctionBasicCaseException) {
                                        {}, 4),
       Boom);
   EXPECT_EQ(pool.run([] { return 3; }), 3);
+}
+
+TEST(Failure, PowerFunctionCombineException) {
+  // A combine that throws above the leaves: sequential and fork-join run
+  // the same walk, so both surface the exception, and the pool still runs
+  // the next job.
+  ForkJoinPool pool(4);
+  struct Thrower final : pls::powerlist::PowerFunction<int, int> {
+    int basic_case(pls::powerlist::PowerListView<const int> leaf,
+                   const pls::powerlist::NoContext&) const override {
+      return leaf[0];
+    }
+    int combine(int&& l, int&& r, const pls::powerlist::NoContext&,
+                std::size_t length) const override {
+      if (length == 16) throw Boom{};
+      return l + r;
+    }
+  } f;
+  std::vector<int> data(256);
+  std::iota(data.begin(), data.end(), 0);
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  EXPECT_THROW(pls::powerlist::execute_sequential(f, view, {}, 4), Boom);
+  EXPECT_THROW(pls::powerlist::execute_forkjoin(pool, f, view, {}, 4), Boom);
+  EXPECT_EQ(pool.run([] { return 3; }), 3);
+}
+
+TEST(Failure, ProfiledRunThatThrowsLeavesRecorderDisabled) {
+  if (!pls::observe::kEnabled) {
+    GTEST_SKIP() << "the recorder is a no-op shell under PLS_OBSERVE=0";
+  }
+  ForkJoinPool pool(4);
+  const LeafThrower f;
+  std::vector<int> data(256);
+  std::iota(data.begin(), data.end(), 0);
+  EXPECT_THROW(pls::powerlist::execute_forkjoin_profiled(
+                   pool, f, pls::powerlist::view_of(std::as_const(data)), {},
+                   4),
+               Boom);
+  // A recorder left on would make every later run allocate CP nodes.
+  EXPECT_FALSE(pls::observe::CriticalPathRecorder::global().enabled());
+  pls::observe::CriticalPathRecorder::global().clear();
 }
 
 TEST(Failure, SequentialStreamExceptionLeavesNoThreads) {

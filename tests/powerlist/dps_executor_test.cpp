@@ -1,36 +1,24 @@
-// Destination-passing execution in the PowerList layer: the _into
-// executors over InplacePowerFunction, the sized-sink PowerArray
-// collectors, PowerArray::adopt, and the zip_all scratch reuse.
-#include "powerlist/executors.hpp"
-
+// Destination-passing execution in the PowerList layer: the sized-sink
+// PowerArray collectors, PowerArray::adopt, and the zip_all scratch reuse.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "forkjoin/pool.hpp"
 #include "observe/counters.hpp"
 #include "powerlist/collector_functions.hpp"
-#include "powerlist/function.hpp"
 #include "powerlist/power_array.hpp"
 #include "powerlist/spliterators.hpp"
-#include "powerlist/view.hpp"
 #include "streams/stream.hpp"
 
 namespace {
 
-using pls::forkjoin::ForkJoinPool;
 using pls::observe::aggregate_counters;
 using pls::observe::CounterTotals;
 using pls::observe::kEnabled;
 using pls::powerlist::DecompositionOp;
-using pls::powerlist::execute_forkjoin_into;
-using pls::powerlist::execute_sequential_into;
-using pls::powerlist::InplacePowerFunction;
-using pls::powerlist::NoContext;
 using pls::powerlist::PowerArray;
-using pls::powerlist::PowerListView;
 using pls::powerlist::TieSpliterator;
 using pls::powerlist::ZipSpliterator;
 
@@ -41,67 +29,6 @@ std::vector<int> test_data(std::size_t n) {
   }
   return v;
 }
-
-// ---- InplacePowerFunction + the _into executors ----------------------
-
-/// Elementwise affine map written in destination-passing style.
-class AffineInto final : public InplacePowerFunction<int> {
- public:
-  AffineInto(DecompositionOp op, int scale, int shift)
-      : op_(op), scale_(scale), shift_(shift) {}
-
-  DecompositionOp decomposition() const override { return op_; }
-
-  void basic_case_into(PowerListView<const int> leaf, PowerListView<int> out,
-                       const NoContext&) const override {
-    for (std::size_t i = 0; i < leaf.length(); ++i) {
-      out[i] = leaf[i] * scale_ + shift_;
-    }
-  }
-
- private:
-  DecompositionOp op_;
-  int scale_;
-  int shift_;
-};
-
-class IntoExecutors : public ::testing::TestWithParam<DecompositionOp> {};
-
-TEST_P(IntoExecutors, SequentialWritesFinalPositions) {
-  const auto input = test_data(64);
-  std::vector<int> output(64, -1);
-  AffineInto f(GetParam(), 3, 7);
-  execute_sequential_into(f, pls::powerlist::view_of(input),
-                          pls::powerlist::view_of(output), NoContext{},
-                          /*leaf_size=*/4);
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(output[i], input[i] * 3 + 7);
-  }
-}
-
-TEST_P(IntoExecutors, ForkJoinMatchesSequential) {
-  const auto input = test_data(1 << 10);
-  std::vector<int> seq(input.size(), 0);
-  std::vector<int> par(input.size(), 0);
-  AffineInto f(GetParam(), 5, -2);
-  execute_sequential_into(f, pls::powerlist::view_of(input),
-                          pls::powerlist::view_of(seq), NoContext{}, 8);
-  ForkJoinPool pool(2);
-  const CounterTotals before = aggregate_counters();
-  execute_forkjoin_into(pool, f, pls::powerlist::view_of(input),
-                        pls::powerlist::view_of(par), NoContext{}, 8);
-  const CounterTotals delta = aggregate_counters() - before;
-  EXPECT_EQ(par, seq);
-  if (kEnabled) {
-    EXPECT_EQ(delta.combines, 0u)
-        << "destination-passing execution has no combine phase";
-    EXPECT_GT(delta.splits, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothOps, IntoExecutors,
-                         ::testing::Values(DecompositionOp::kTie,
-                                           DecompositionOp::kZip));
 
 // ---- sized-sink PowerArray collectors --------------------------------
 

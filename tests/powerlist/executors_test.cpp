@@ -1,12 +1,18 @@
 // The PowerFunction skeleton under all three executors: sequential,
-// fork-join, and simulated. One simple function (sum via reduce shape) and
-// one context-carrying function exercise every hook.
+// fork-join, and simulated, plus the reporting fork-join run whose
+// closed-form shape is checked against the measured counters. One simple
+// function (sum via reduce shape) and one context-carrying function
+// exercise every hook; FFT and the polynomial pin the simulated schedule.
 #include "powerlist/executors.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "powerlist/algorithms/fft.hpp"
 #include "powerlist/algorithms/map_reduce.hpp"
 #include "powerlist/algorithms/polynomial.hpp"
 
@@ -14,6 +20,7 @@ namespace {
 
 using pls::forkjoin::ForkJoinPool;
 using pls::powerlist::execute_forkjoin;
+using pls::powerlist::execute_forkjoin_reported;
 using pls::powerlist::execute_sequential;
 using pls::powerlist::execute_simulated;
 using pls::powerlist::PowerListView;
@@ -119,11 +126,14 @@ TEST(Executors, SimulatedSpeedupGrowsWithProcessors) {
 }
 
 TEST(Executors, InstrumentedCountsMatchTreeShape) {
+  // The reported shape is closed form; with observe on, the counters the
+  // walk bumps at every node measure the same tree independently.
+  ForkJoinPool pool(4);
   auto data = iota(256);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   // leaf 32 over 256: 8 leaves, 7 forks, depth 3.
-  const auto ex = pls::powerlist::execute_instrumented(sum, view, {}, 32);
+  const auto ex = execute_forkjoin_reported(pool, sum, view, {}, 32);
   EXPECT_EQ(ex.result, 256 * 257 / 2);
   EXPECT_EQ(ex.stats.basic_cases, 8u);
   EXPECT_EQ(ex.stats.combines, 7u);
@@ -131,28 +141,60 @@ TEST(Executors, InstrumentedCountsMatchTreeShape) {
   EXPECT_EQ(ex.stats.max_depth, 3u);
   EXPECT_EQ(ex.stats.min_leaf_length, 32u);
   EXPECT_EQ(ex.stats.max_leaf_length, 32u);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(ex.counters.leaf_chunks, ex.stats.basic_cases);
+    EXPECT_EQ(ex.counters.forks, ex.stats.descends);
+    EXPECT_EQ(ex.counters.combines, ex.stats.combines);
+    // The sequential executor runs the same walk, so it counts the same
+    // tree on the calling thread's block (no forks: nothing is pushed).
+    const auto before = pls::observe::aggregate_counters();
+    EXPECT_EQ(execute_sequential(sum, view, {}, 32), ex.result);
+    const auto seq = pls::observe::aggregate_counters() - before;
+    EXPECT_EQ(seq.leaf_chunks, ex.stats.basic_cases);
+    EXPECT_EQ(seq.splits, ex.stats.descends);
+    EXPECT_EQ(seq.combines, ex.stats.combines);
+    EXPECT_EQ(seq.forks, 0u);
+  }
 }
 
 TEST(Executors, InstrumentedSingleLeaf) {
+  ForkJoinPool pool(2);
   auto data = iota(64);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
-  const auto ex = pls::powerlist::execute_instrumented(sum, view, {}, 64);
+  const auto ex = execute_forkjoin_reported(pool, sum, view, {}, 64);
+  EXPECT_EQ(ex.result, 64 * 65 / 2);
   EXPECT_EQ(ex.stats.basic_cases, 1u);
   EXPECT_EQ(ex.stats.combines, 0u);
   EXPECT_EQ(ex.stats.max_depth, 0u);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(ex.counters.leaf_chunks, 1u);
+    EXPECT_EQ(ex.counters.forks, 0u);
+    EXPECT_EQ(ex.counters.combines, 0u);
+  }
 }
 
 TEST(Executors, InstrumentedUniformLeafDepths) {
   // Power-of-two halving always produces uniform leaves — the property
-  // the paper's PolynomialValue mechanism depends on.
+  // the paper's PolynomialValue mechanism depends on. The counters see
+  // every leaf chunk, so leaves * leaf length must cover the input.
+  ForkJoinPool pool(4);
   auto data = iota(1 << 10);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   for (std::size_t leaf : {3u, 5u, 100u}) {  // non-power-of-two thresholds
-    const auto ex = pls::powerlist::execute_instrumented(sum, view, {}, leaf);
+    const auto ex = execute_forkjoin_reported(pool, sum, view, {}, leaf);
     EXPECT_EQ(ex.stats.min_leaf_length, ex.stats.max_leaf_length)
         << "leaf=" << leaf;
+    EXPECT_LE(ex.stats.max_leaf_length, leaf) << "leaf=" << leaf;
+    EXPECT_EQ(ex.stats.basic_cases * ex.stats.max_leaf_length, data.size())
+        << "leaf=" << leaf;
+    if (pls::observe::kEnabled) {
+      EXPECT_EQ(ex.counters.leaf_chunks, ex.stats.basic_cases)
+          << "leaf=" << leaf;
+      EXPECT_EQ(ex.counters.elements_accumulated, data.size())
+          << "leaf=" << leaf;
+    }
   }
 }
 
@@ -183,15 +225,12 @@ TEST(Executors, ForkJoinReportedMatchesSequential) {
       pls::powerlist::execute_forkjoin_reported(pool, sum, view, {}, 16);
   EXPECT_EQ(report.result, execute_sequential(sum, view, {}, 16));
   EXPECT_FALSE(report.simulated);
-  // Closed-form shape equals what the instrumented sequential run counts.
-  const auto instrumented =
-      pls::powerlist::execute_instrumented(sum, view, {}, 16);
-  EXPECT_EQ(report.stats.basic_cases, instrumented.stats.basic_cases);
-  EXPECT_EQ(report.stats.descends, instrumented.stats.descends);
-  EXPECT_EQ(report.stats.combines, instrumented.stats.combines);
-  EXPECT_EQ(report.stats.max_depth, instrumented.stats.max_depth);
-  EXPECT_EQ(report.stats.min_leaf_length, instrumented.stats.min_leaf_length);
-  EXPECT_EQ(report.stats.max_leaf_length, instrumented.stats.max_leaf_length);
+  EXPECT_EQ(report.stats.basic_cases, 64u);
+  EXPECT_EQ(report.stats.descends, 63u);
+  EXPECT_EQ(report.stats.combines, 63u);
+  EXPECT_EQ(report.stats.max_depth, 6u);
+  EXPECT_EQ(report.stats.min_leaf_length, 16u);
+  EXPECT_EQ(report.stats.max_leaf_length, 16u);
   if (pls::observe::kEnabled) {
     // The counter delta sees the run's decomposition: 64 leaves, 63 forks.
     EXPECT_EQ(report.counters.leaf_chunks, 64u);
@@ -201,18 +240,79 @@ TEST(Executors, ForkJoinReportedMatchesSequential) {
 }
 
 TEST(Executors, ExecutionReportUnifiesInstrumentedAndSimulatedRuns) {
+  ForkJoinPool pool(2);
   auto data = iota(64);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   const pls::powerlist::ExecutionReport<long> a =
-      pls::powerlist::execute_instrumented(sum, view, {}, 8);
+      execute_forkjoin_reported(pool, sum, view, {}, 8);
   const pls::powerlist::ExecutionReport<long> b =
       execute_simulated(Simulator(CostModel{}, 2), sum, view, {}, 8);
   EXPECT_EQ(a.result, b.result);
   EXPECT_FALSE(a.simulated);
   EXPECT_TRUE(b.simulated);
   EXPECT_EQ(a.stats.basic_cases, 8u);
+  EXPECT_EQ(b.stats.basic_cases, 8u);
   EXPECT_GT(b.sim.makespan_ns, 0.0);
+}
+
+struct PinnedSim {
+  unsigned processors;
+  double makespan_ns;
+  double work_ns;
+  double span_ns;
+  std::uint64_t steals;
+  std::uint64_t segments;
+};
+
+void expect_pinned(const pls::simmachine::SimResult& got,
+                   const PinnedSim& want) {
+  EXPECT_EQ(got.makespan_ns, want.makespan_ns) << "P=" << want.processors;
+  EXPECT_EQ(got.work_ns, want.work_ns) << "P=" << want.processors;
+  EXPECT_EQ(got.span_ns, want.span_ns) << "P=" << want.processors;
+  EXPECT_EQ(got.steals, want.steals) << "P=" << want.processors;
+  EXPECT_EQ(got.segments, want.segments) << "P=" << want.processors;
+}
+
+TEST(Executors, SimulatedScheduleIsPinned) {
+  // Exact schedules under the default cost model. Any change in the task
+  // tree's nodes, their costs or their post-order moves the steals and
+  // the makespans, so these pin the closed-form tree.
+  std::vector<pls::powerlist::Complex> signal(1 << 10);
+  for (std::size_t i = 0; i < signal.size(); ++i) {
+    signal[i] = pls::powerlist::Complex(static_cast<double>(i % 7),
+                                        -static_cast<double>(i % 3));
+  }
+  std::vector<double> coeffs(1 << 12);
+  for (std::size_t i = 0; i < coeffs.size(); ++i) {
+    coeffs[i] = static_cast<double>(i % 5) - 2.0;
+  }
+  const pls::powerlist::FftFunction fft;  // zip, combine cost 10/elem
+  const pls::powerlist::PolynomialFunction<double> vp;  // descend cost 1
+  const PinnedSim fft_pins[] = {{1, 191188, 191188, 20528, 0, 766},
+                                {3, 80118, 191188, 20528, 11, 766},
+                                {8, 43160, 191188, 20528, 22, 766}};
+  const PinnedSim vp_pins[] = {{1, 85457, 85457, 56, 0, 766},
+                               {3, 31937, 85457, 56, 12, 766},
+                               {8, 14400, 85457, 56, 32, 766}};
+  for (const PinnedSim& pin : fft_pins) {
+    const Simulator sim(CostModel{}, pin.processors);
+    expect_pinned(execute_simulated(sim, fft,
+                                    pls::powerlist::view_of(
+                                        std::as_const(signal)),
+                                    pls::powerlist::NoContext{}, 4)
+                      .sim,
+                  pin);
+  }
+  for (const PinnedSim& pin : vp_pins) {
+    const Simulator sim(CostModel{}, pin.processors);
+    expect_pinned(
+        execute_simulated(sim, vp,
+                          pls::powerlist::view_of(std::as_const(coeffs)),
+                          0.97, 16)
+            .sim,
+        pin);
+  }
 }
 
 TEST(Executors, ZipReduceSameAsTieForCommutativeOp) {
