@@ -4,9 +4,9 @@
 //
 // Two series:
 //   wall-clock (google-benchmark): n-way reduce through the multiway
-//     collect evaluator for arities 2/3/4/8 — the arity changes tree
-//     depth and combine count, not total work, so times should be close,
-//     with deep binary trees paying slightly more combine overhead;
+//     collect (the streams split-tree walk asking try_split_n for each
+//     arity) for arities 2/3/4/8 — the arity changes split depth, not
+//     total work, so times should be close;
 //   simulated: PList mergesort arity sweep under the fork-join cost
 //     model, showing how higher arity shortens the tree but grows each
 //     combine (k-way merge), the classic multiway trade-off.
@@ -44,7 +44,8 @@ void multiway_reduce(benchmark::State& state, std::size_t arity) {
       [] { return 0.0; }, [](double& acc, const double& v) { acc += v; },
       [](double& l, double& r) { l += r; });
   for (auto _ : state) {
-    NTieSpliterator<double> sp(data);
+    std::unique_ptr<pls::streams::Spliterator<double>> sp =
+        std::make_unique<NTieSpliterator<double>>(data);
     benchmark::DoNotOptimize(
         evaluate_collect_multiway(sp, summing, arity, true));
   }

@@ -27,7 +27,7 @@
 //   fused_leaves          leaf chunks of stream pipelines, all driven by
 //                         the push-mode fusion engine (docs/execution.md);
 //                         leaf_chunks - fused_leaves counts the skeleton
-//                         and multiway leaves
+//                         leaves (multiway collects run fused too)
 //
 // With PLS_OBSERVE=0 every type collapses to an empty shell and every
 // member function to a no-op; call sites compile to nothing.
@@ -244,19 +244,23 @@ struct alignas(kCacheLineSize) CounterBlock {
   }
 };
 
-/// Process-wide registry of per-thread counter blocks. Threads claim a
-/// slot on first use and keep it for their lifetime; slots are never
-/// recycled, so totals survive worker shutdown (a pool can be aggregated
-/// after join). If more than kMaxSlots threads ever register, the
-/// overflow threads share slot 0 — still correct (the block is atomic),
-/// merely coarser attribution.
+/// Process-wide registry of per-thread counter blocks. A thread claims a
+/// slot on first use and holds it until it exits; then its counts fold
+/// into the retired total and the slot, zeroed, goes back on a free list.
+/// So aggregate() stays monotone across thread exits, and no two live
+/// threads share a block until more than kMaxSlots are alive at once
+/// (the overflow threads then count into one shared block: still
+/// correct, it is atomic, merely unattributed). Per-worker rows of a slot
+/// recycled between two snapshots do not diff meaningfully; totals do.
 class CounterRegistry {
  public:
   static constexpr std::size_t kMaxSlots = 1024;
 
+  /// Never destroyed: worker threads of static pools exit, and release
+  /// their slots, during static destruction.
   static CounterRegistry& global() {
-    static CounterRegistry r;
-    return r;
+    static CounterRegistry* const r = new CounterRegistry;
+    return *r;
   }
 
   /// The calling thread's block (claims a slot on first call).
@@ -269,27 +273,27 @@ class CounterRegistry {
   /// thread's slot. Off the hot path; guarded by a mutex.
   void set_local_label(std::string label) {
     CounterBlock& block = local();
-    const std::size_t slot =
-        static_cast<std::size_t>(&block - slots_);
-    std::lock_guard<std::mutex> lock(label_mutex_);
-    labels_[slot] = std::move(label);
+    if (&block == &shared_) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    labels_[static_cast<std::size_t>(&block - slots_)] = std::move(label);
   }
 
-  /// Sum of every registered block.
+  /// Sum of every block plus the counts of threads that have exited.
   CounterTotals aggregate() const {
-    CounterTotals t;
-    const std::size_t n = used_slots();
-    for (std::size_t i = 0; i < n; ++i) t += slots_[i].snapshot();
+    std::lock_guard<std::mutex> lock(mutex_);
+    CounterTotals t = retired_;
+    t += shared_.snapshot();
+    for (std::size_t i = 0; i < high_water_; ++i) t += slots_[i].snapshot();
     return t;
   }
 
-  /// Per-slot snapshots with labels, skipping blocks that never counted
-  /// anything (threads register lazily, so idle slots do not appear).
+  /// Per-slot snapshots with labels, for every slot ever claimed (threads
+  /// register lazily, so never-used slots do not appear; free slots show
+  /// zeros).
   std::vector<WorkerCounters> per_worker() const {
     std::vector<WorkerCounters> out;
-    const std::size_t n = used_slots();
-    std::lock_guard<std::mutex> lock(label_mutex_);
-    for (std::size_t i = 0; i < n; ++i) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < high_water_; ++i) {
       WorkerCounters w{labels_[i], slots_[i].snapshot()};
       if (w.label.empty()) w.label = "thread-" + std::to_string(i);
       out.push_back(std::move(w));
@@ -297,29 +301,64 @@ class CounterRegistry {
     return out;
   }
 
-  /// Zero every block. Only meaningful while the system is quiescent;
-  /// prefer snapshot deltas (operator-) for scoped measurements.
+  /// Zero every block and the retired total. Only meaningful while the
+  /// system is quiescent; prefer snapshot deltas (operator-) for scoped
+  /// measurements.
   void reset() {
-    const std::size_t n = used_slots();
-    for (std::size_t i = 0; i < n; ++i) slots_[i].reset();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < high_water_; ++i) slots_[i].reset();
+    shared_.reset();
+    retired_ = {};
   }
 
  private:
+  /// Held by each thread that owns a slot; returns it when the thread
+  /// exits (thread_local destruction).
+  struct SlotLease {
+    CounterBlock* block = nullptr;
+    ~SlotLease() {
+      if (block != nullptr) CounterRegistry::global().release(*block);
+    }
+  };
+
   CounterRegistry() = default;
 
-  std::size_t used_slots() const noexcept {
-    const std::size_t n = next_slot_.load(std::memory_order_acquire);
-    return n < kMaxSlots ? n : kMaxSlots;
+  CounterBlock& claim_slot() {
+    thread_local SlotLease lease;
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t i;
+    if (!free_.empty()) {
+      i = free_.back();
+      free_.pop_back();
+    } else if (high_water_ < kMaxSlots) {
+      i = high_water_++;
+    } else {
+      return shared_;
+    }
+    lease.block = &slots_[i];
+    return slots_[i];
   }
 
-  CounterBlock& claim_slot() {
-    const std::size_t i = next_slot_.fetch_add(1, std::memory_order_acq_rel);
-    return i < kMaxSlots ? slots_[i] : slots_[0];
+  /// Runs on the exiting thread: fold its counts into the retired total
+  /// under the same lock aggregate() takes, so no reader sees them twice
+  /// or not at all. Anything the thread counts afterwards (later
+  /// thread_local destructors) lands in the shared block.
+  void release(CounterBlock& block) {
+    tls_block_ = &shared_;
+    std::lock_guard<std::mutex> lock(mutex_);
+    retired_ += block.snapshot();
+    block.reset();
+    const auto i = static_cast<std::size_t>(&block - slots_);
+    labels_[i].clear();
+    free_.push_back(i);
   }
 
   CounterBlock slots_[kMaxSlots];
-  std::atomic<std::size_t> next_slot_{0};
-  mutable std::mutex label_mutex_;
+  CounterBlock shared_;
+  mutable std::mutex mutex_;
+  std::size_t high_water_ = 0;
+  std::vector<std::size_t> free_;
+  CounterTotals retired_;
   std::string labels_[kMaxSlots];
 
   static thread_local CounterBlock* tls_block_;

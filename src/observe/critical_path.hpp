@@ -138,6 +138,13 @@ struct CriticalPathStats {
   }
 };
 
+/// A position in the recorder (node and root counts), so one run's trees
+/// can be analysed apart from those recorded before it.
+struct CpMark {
+  std::size_t nodes = 0;
+  std::size_t roots = 0;
+};
+
 #if PLS_OBSERVE
 
 class CriticalPathRecorder {
@@ -203,14 +210,25 @@ class CriticalPathRecorder {
     return {roots_.begin(), roots_.end()};
   }
 
-  /// Analyse the recorded forest. `scale` converts recorded ticks to
-  /// nanoseconds; the default is the process tick calibration. Call only
-  /// after the profiled run has completed (no concurrent writers).
-  CriticalPathStats analyze(double scale = ns_per_tick()) const {
+  /// The recorder's current extent; analyze(scale, mark()) taken before
+  /// a run covers exactly the trees that run records.
+  CpMark mark() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return {nodes_.size(), roots_.size()};
+  }
+
+  /// Analyse the forest recorded after `since` (by default all of it).
+  /// `scale` converts recorded ticks to nanoseconds; the default is the
+  /// process tick calibration. Call only after the profiled run has
+  /// completed (no concurrent writers).
+  CriticalPathStats analyze(double scale = ns_per_tick(),
+                            CpMark since = {}) const {
     std::lock_guard<std::mutex> lock(mutex_);
     CriticalPathStats s;
-    s.nodes = nodes_.size();
-    for (const CpNode& n : nodes_) {
+    s.nodes = nodes_.size() - since.nodes;
+    for (auto it = nodes_.begin() + static_cast<std::ptrdiff_t>(since.nodes);
+         it != nodes_.end(); ++it) {
+      const CpNode& n = *it;
       s.phases.split_ns += static_cast<double>(n.split_ticks) * scale;
       s.phases.accumulate_ns +=
           static_cast<double>(n.accumulate_ticks) * scale;
@@ -220,8 +238,8 @@ class CriticalPathRecorder {
       if (n.depth > s.max_depth) s.max_depth = n.depth;
     }
     s.work_ns = s.phases.total_ns();
-    for (const CpNode* root : roots_) {
-      s.span_ns += span_of(*root, scale);
+    for (std::size_t i = since.roots; i < roots_.size(); ++i) {
+      s.span_ns += span_of(*roots_[i], scale);
     }
     return s;
   }
@@ -294,7 +312,8 @@ class CriticalPathRecorder {
   std::pair<CpNode*, CpNode*> fork(CpNode*) { return {nullptr, nullptr}; }
   std::size_t node_count() const { return 0; }
   std::vector<const CpNode*> roots() const { return {}; }
-  CriticalPathStats analyze(double = 1.0) const { return {}; }
+  CpMark mark() const { return {}; }
+  CriticalPathStats analyze(double = 1.0, CpMark = {}) const { return {}; }
 };
 
 inline CpNode* cp_new_root() { return nullptr; }

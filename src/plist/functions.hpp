@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "forkjoin/parallel.hpp"
 #include "forkjoin/pool.hpp"
 #include "plist/plist_view.hpp"
 #include "powerlist/function.hpp"
@@ -75,31 +76,14 @@ R run_plist(forkjoin::ForkJoinPool* pool, const PListFunction<T, R, Ctx>& f,
   const auto contexts = f.descend_n(ctx, input.length(), n);
   PLS_CHECK(contexts.size() == n, "descend_n must return arity contexts");
   std::vector<std::optional<R>> results(n);
+  const auto run_part = [&](std::size_t k) {
+    results[k].emplace(
+        run_plist(pool, f, parts[k], contexts[k], leaf_size, fork_grain));
+  };
   if (pool != nullptr && input.length() > fork_grain) {
-    struct Runner {
-      forkjoin::ForkJoinPool* pool;
-      const PListFunction<T, R, Ctx>& f;
-      const std::vector<PListView<const T>>& parts;
-      const std::vector<Ctx>& contexts;
-      std::vector<std::optional<R>>& results;
-      std::size_t leaf_size;
-      std::size_t fork_grain;
-      void run(std::size_t lo, std::size_t hi) {
-        if (hi - lo == 1) {
-          results[lo].emplace(run_plist(pool, f, parts[lo], contexts[lo],
-                                        leaf_size, fork_grain));
-          return;
-        }
-        const std::size_t mid = lo + (hi - lo) / 2;
-        pool->invoke_two([&] { run(lo, mid); }, [&] { run(mid, hi); });
-      }
-    } runner{pool, f, parts, contexts, results, leaf_size, fork_grain};
-    runner.run(0, n);
+    forkjoin::detail_for(*pool, std::size_t{0}, n, std::size_t{1}, run_part);
   } else {
-    for (std::size_t k = 0; k < n; ++k) {
-      results[k].emplace(run_plist(pool, f, parts[k], contexts[k], leaf_size,
-                                   fork_grain));
-    }
+    for (std::size_t k = 0; k < n; ++k) run_part(k);
   }
   std::vector<R> collected;
   collected.reserve(n);

@@ -283,30 +283,36 @@ ExecutionReport<R> execute_forkjoin_reported(
   return report;
 }
 
-/// execute_forkjoin_reported with full critical-path profiling: clears and
-/// enables the global CriticalPathRecorder for the duration of the run
-/// (disabled again even when the run throws), then adds measured work T1,
-/// span T∞, per-phase attribution, the run's wall time, and the aggregated
-/// latency histograms to the report. The recorder is process-global, so
-/// profile exactly one run at a time; report.profile is all zeros when
-/// PLS_OBSERVE=0.
+/// execute_forkjoin_reported with full critical-path profiling, then adds
+/// measured work T1, span T∞, per-phase attribution, the run's wall time,
+/// and the aggregated latency histograms to the report. report.profile
+/// covers only the tree this run records. When the global
+/// CriticalPathRecorder is off, it is cleared and enabled for the run and
+/// disabled again even when the run throws; when it is already on (a
+/// profiling pls::session), its earlier trees are kept and it stays on.
+/// The recorder is process-global, so profile exactly one run at a time;
+/// report.profile is all zeros when PLS_OBSERVE=0.
 template <typename TV, typename R, typename Ctx>
 ExecutionReport<R> execute_forkjoin_profiled(
     forkjoin::ForkJoinPool& pool,
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
   auto& recorder = observe::CriticalPathRecorder::global();
-  recorder.clear();
-  recorder.enable();
+  const bool owned = !recorder.enabled();
+  if (owned) {
+    recorder.clear();
+    recorder.enable();
+  }
   const auto disable = [](observe::CriticalPathRecorder* r) { r->disable(); };
-  const std::unique_ptr<observe::CriticalPathRecorder, decltype(disable)>
-      disable_on_exit(&recorder, disable);
+  std::unique_ptr<observe::CriticalPathRecorder, decltype(disable)>
+      disable_on_exit(owned ? &recorder : nullptr, disable);
+  const observe::CpMark since = recorder.mark();
   const auto wall0 = std::chrono::steady_clock::now();
   ExecutionReport<R> report =
       execute_forkjoin_reported(pool, f, input, ctx, leaf_size);
   const auto wall1 = std::chrono::steady_clock::now();
-  recorder.disable();
-  report.profile = recorder.analyze();
+  disable_on_exit.reset();
+  report.profile = recorder.analyze(observe::ns_per_tick(), since);
   report.histograms = observe::aggregate_histograms();
   report.wall_ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)

@@ -6,7 +6,9 @@
 //     SUBSIZED split-size conservation, split disjointness + coverage in
 //     encounter order, and destination-window consistency for
 //     WindowedSource implementations (windows of split children partition
-//     the parent's window).
+//     the parent's window). With max_arity > 2 the same laws hold for the
+//     n-way split (Spliterator::try_split_n, the paper's Section V
+//     proposal) at Rand-drawn arities.
 //
 //   check_collector_laws — the Collector contract: combiner associativity
 //     (any combine tree over any contiguous partition yields the single-
@@ -89,10 +91,13 @@ struct SplitLeaf {
 
 /// Recursively split `sp` under Rand-driven decisions, checking the split
 /// laws at every node and appending leaf traversals (prefix subtree first)
-/// to `leaves`.
+/// to `leaves`. With max_arity 2 each split is try_split; above, it is
+/// try_split_n at an arity drawn from [2, max_arity], whose n-1 parts
+/// precede the remainder in encounter order. A refused split must leave
+/// the source's size alone.
 template <typename T>
 PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
-                            unsigned depth,
+                            unsigned depth, std::size_t max_arity,
                             std::vector<SplitLeaf<T>>& leaves) {
   const std::uint64_t before_estimate = sp.estimate_size();
   const bool sized = sp.has(streams::kSized);
@@ -103,9 +108,18 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
   // Stop splitting on a Rand coin (deeper levels stop more eagerly), so
   // iterations cover shallow and deep decompositions alike.
   const bool want_split = depth < 12 && r.chance(3, depth < 2 ? 3 : 4);
-  std::unique_ptr<streams::Spliterator<T>> prefix =
-      want_split ? sp.try_split() : nullptr;
-  if (prefix == nullptr) {
+  std::vector<std::unique_ptr<streams::Spliterator<T>>> parts;
+  std::size_t arity = 2;
+  if (want_split && max_arity == 2) {
+    if (auto prefix = sp.try_split()) parts.push_back(std::move(prefix));
+  } else if (want_split) {
+    arity = 2 + static_cast<std::size_t>(r.below(max_arity - 1));
+    parts = sp.try_split_n(arity);
+  }
+  if (parts.empty()) {
+    if (sp.estimate_size() != before_estimate) {
+      return law_fail("split", "a refused split changed the source's size");
+    }
     const std::uint64_t claimed = sp.estimate_size();
     const auto leaf_window = streams::output_window_of(sp);
     std::vector<T> chunk = drain_bulk(sp);
@@ -121,16 +135,27 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
     leaves.push_back(SplitLeaf<T>{leaf_window, std::move(chunk)});
     return PropStatus::pass();
   }
+  if (parts.size() != arity - 1) {
+    std::ostringstream os;
+    os << "try_split_n(" << arity << ") returned " << parts.size()
+       << " parts";
+    return law_fail("split-n", os.str());
+  }
+  std::vector<streams::Spliterator<T>*> children;
+  for (auto& part : parts) children.push_back(part.get());
+  children.push_back(&sp);
 
   if (subsized) {
-    if (!prefix->has(streams::kSized)) {
-      return law_fail("subsized", "split of a SUBSIZED source lost SIZED");
+    std::uint64_t sum = 0;
+    for (const auto* child : children) {
+      if (!child->has(streams::kSized)) {
+        return law_fail("subsized", "split of a SUBSIZED source lost SIZED");
+      }
+      sum += child->estimate_size();
     }
-    const std::uint64_t sum = prefix->estimate_size() + sp.estimate_size();
     if (sum != before_estimate) {
       std::ostringstream os;
-      os << "child sizes " << prefix->estimate_size() << " + "
-         << sp.estimate_size() << " != parent " << before_estimate;
+      os << "child sizes sum to " << sum << " != parent " << before_estimate;
       return law_fail("subsized", os.str());
     }
   }
@@ -139,18 +164,18 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
   // the children's windows must exist and partition it exactly.
   if (parent_window.has_value() && subsized &&
       parent_window->count == before_estimate) {
-    const auto left_window = streams::output_window_of(*prefix);
-    const auto right_window = streams::output_window_of(sp);
-    if (!left_window.has_value() || !right_window.has_value()) {
-      return law_fail("window", "windowed parent split to windowless child");
+    std::vector<std::uint64_t> got;
+    for (const auto* child : children) {
+      const auto w = streams::output_window_of(*child);
+      if (!w.has_value()) {
+        return law_fail("window", "windowed parent split to windowless child");
+      }
+      if (w->count != child->estimate_size()) {
+        return law_fail("window", "child window count != child size");
+      }
+      const std::vector<std::uint64_t> positions = window_positions(*w);
+      got.insert(got.end(), positions.begin(), positions.end());
     }
-    if (left_window->count != prefix->estimate_size() ||
-        right_window->count != sp.estimate_size()) {
-      return law_fail("window", "child window count != child size");
-    }
-    std::vector<std::uint64_t> got = window_positions(*left_window);
-    const std::vector<std::uint64_t> right = window_positions(*right_window);
-    got.insert(got.end(), right.begin(), right.end());
     std::sort(got.begin(), got.end());
     if (std::adjacent_find(got.begin(), got.end()) != got.end()) {
       return law_fail("window", "child windows overlap");
@@ -163,10 +188,14 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
     }
   }
 
-  if (PropStatus s = split_tree_check(*prefix, r, depth + 1, leaves); !s.ok) {
-    return s;
+  for (auto* child : children) {
+    if (PropStatus s = split_tree_check(*child, r, depth + 1, max_arity,
+                                        leaves);
+        !s.ok) {
+      return s;
+    }
   }
-  return split_tree_check(sp, r, depth + 1, leaves);
+  return PropStatus::pass();
 }
 
 }  // namespace detail
@@ -175,11 +204,13 @@ PropStatus split_tree_check(streams::Spliterator<T>& sp, Rand& r,
 /// (each call must return a fresh spliterator over the same conceptual
 /// source). Rand drives the split decisions. Pass
 /// SplitOrder::kInterleaved for zip-style sources, whose splits permute
-/// encounter order and carry it in output windows instead.
+/// encounter order and carry it in output windows instead. A max_arity
+/// above 2 checks the split tree through try_split_n.
 template <typename T>
 PropStatus check_spliterator_laws(
     const std::function<std::unique_ptr<streams::Spliterator<T>>()>& make,
-    Rand& r, SplitOrder order = SplitOrder::kPrefix) {
+    Rand& r, SplitOrder order = SplitOrder::kPrefix,
+    std::size_t max_arity = 2) {
   auto bulk_sp = make();
   const std::vector<T> full = drain_bulk(*bulk_sp);
 
@@ -220,7 +251,8 @@ PropStatus check_spliterator_laws(
   auto tree_sp = make();
   const auto root_window = streams::output_window_of(*tree_sp);
   std::vector<detail::SplitLeaf<T>> leaves;
-  if (PropStatus s = detail::split_tree_check(*tree_sp, r, 0, leaves);
+  if (PropStatus s =
+          detail::split_tree_check(*tree_sp, r, 0, max_arity, leaves);
       !s.ok) {
     return s;
   }

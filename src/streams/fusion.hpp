@@ -104,6 +104,11 @@ class FusedPipeline {
   /// (always nullptr for cancelling chains).
   virtual std::unique_ptr<FusedPipeline> try_split() = 0;
 
+  /// Split off n-1 prefix pipelines (encounter order, this keeps the last
+  /// part) through the source's try_split_n, or return an empty vector.
+  virtual std::vector<std::unique_ptr<FusedPipeline>> try_split_n(
+      std::size_t n) = 0;
+
   /// Push every remaining source element through the composed sink chain
   /// into `terminal` (a Sink of the pipeline's output type). Calls
   /// begin/end; uses the chunked transport unless the chain cancels.
@@ -209,11 +214,16 @@ class FusedPipelineImpl final : public FusedPipeline {
     if (cancels_ || stateful_) return nullptr;
     auto prefix = source_->try_split();
     if (!prefix) return nullptr;
-    auto out = std::make_unique<FusedPipelineImpl<S>>(std::move(prefix));
-    out->stages_ = stages_;
-    out->cancels_ = cancels_;
-    out->one_to_one_ = one_to_one_;
-    out->stateful_ = stateful_;
+    return sharing_chain(std::move(prefix));
+  }
+
+  std::vector<std::unique_ptr<FusedPipeline>> try_split_n(
+      std::size_t n) override {
+    std::vector<std::unique_ptr<FusedPipeline>> out;
+    if (cancels_ || stateful_) return out;
+    auto parts = source_->try_split_n(n);
+    out.reserve(parts.size());
+    for (auto& part : parts) out.push_back(sharing_chain(std::move(part)));
     return out;
   }
 
@@ -254,6 +264,18 @@ class FusedPipelineImpl final : public FusedPipeline {
   }
 
  private:
+  /// A split product of the source, wrapped in a pipeline that shares
+  /// this stage chain.
+  std::unique_ptr<FusedPipeline> sharing_chain(
+      std::unique_ptr<Spliterator<S>> part) const {
+    auto out = std::make_unique<FusedPipelineImpl<S>>(std::move(part));
+    out->stages_ = stages_;
+    out->cancels_ = cancels_;
+    out->one_to_one_ = one_to_one_;
+    out->stateful_ = stateful_;
+    return out;
+  }
+
   void run_drive(SinkControl& terminal, bool element_mode) {
     PLS_CHECK(!driven_,
               "fused pipeline already driven; call reset() between drives");

@@ -26,9 +26,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "forkjoin/pool.hpp"
 #include "observe/counters.hpp"
@@ -410,46 +412,81 @@ template <typename Leaf>
 using leaf_result_t =
     std::invoke_result_t<const Leaf&, FusedPipeline&, observe::CpNode*>;
 
+template <typename Leaf, typename Combine>
+auto fork_parts(forkjoin::ForkJoinPool& pool, FusedPipeline* const* parts,
+                std::size_t n, std::uint64_t target, unsigned arity,
+                const Leaf& leaf, const Combine& combine, unsigned depth,
+                observe::CpNode* cp) -> leaf_result_t<Leaf>;
+
 /// THE split-tree walk: split `fp` until a chunk holds at most `target`
 /// elements or refuses to split, run `leaf(chunk, cp)` on every leaf, and
 /// on the way up fold sibling results with
 /// `combine(left, right, depth, cp)` (left is the encounter-order
-/// prefix). Leaves returning void take NoCombine.
+/// prefix). Leaves returning void take NoCombine. Above arity 2 each split
+/// first asks for `arity` parts (try_split_n) and falls back to the binary
+/// try_split when the source refuses; the binary parts stay on the stack.
 template <typename Leaf, typename Combine>
 auto split_tree(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
-                std::uint64_t target, const Leaf& leaf,
+                std::uint64_t target, unsigned arity, const Leaf& leaf,
                 const Combine& combine, unsigned depth, observe::CpNode* cp)
     -> leaf_result_t<Leaf> {
-  using R = leaf_result_t<Leaf>;
   if (fp.estimate_size() <= target) return leaf(fp, cp);
-  auto prefix = [&] {
+  std::vector<std::unique_ptr<FusedPipeline>> prefixes;
+  std::unique_ptr<FusedPipeline> prefix;
+  {
     observe::Span span(observe::EventKind::kSplit, depth);
     observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    return fp.try_split();
-  }();
-  if (!prefix) return leaf(fp, cp);
+    if (arity > 2) prefixes = fp.try_split_n(arity);
+    if (prefixes.empty()) prefix = fp.try_split();
+  }
+  if (prefixes.empty() && !prefix) return leaf(fp, cp);
   observe::local_counters().on_split(depth);
+  if (prefix) {
+    FusedPipeline* const parts[2] = {prefix.get(), &fp};
+    return fork_parts(pool, parts, 2, target, arity, leaf, combine, depth,
+                      cp);
+  }
+  std::vector<FusedPipeline*> parts;
+  parts.reserve(prefixes.size() + 1);
+  for (const auto& p : prefixes) parts.push_back(p.get());
+  parts.push_back(&fp);
+  return fork_parts(pool, parts.data(), parts.size(), target, arity, leaf,
+                    combine, depth, cp);
+}
+
+/// Fork the encounter-ordered parts of one split as a balanced binary
+/// tree: halve the list through invoke_two, walk each part one level
+/// deeper, and combine the halves' results at every internal node. For
+/// two parts this is exactly one fork and one combine; for n parts the
+/// n-1 combines run balanced rather than as a left fold, which the
+/// collector associativity law makes equal.
+template <typename Leaf, typename Combine>
+auto fork_parts(forkjoin::ForkJoinPool& pool, FusedPipeline* const* parts,
+                std::size_t n, std::uint64_t target, unsigned arity,
+                const Leaf& leaf, const Combine& combine, unsigned depth,
+                observe::CpNode* cp) -> leaf_result_t<Leaf> {
+  using R = leaf_result_t<Leaf>;
+  if (n == 1) {
+    return split_tree(pool, *parts[0], target, arity, leaf, combine,
+                      depth + 1, cp);
+  }
+  const std::size_t mid = n / 2;
   const auto [cl, cr] = observe::cp_fork(cp);
+  const auto half = [&](FusedPipeline* const* first, std::size_t count,
+                        observe::CpNode* node) {
+    return fork_parts(pool, first, count, target, arity, leaf, combine,
+                      depth, node);
+  };
   if constexpr (std::is_void_v<R>) {
-    pool.invoke_two(
-        [&, cl = cl] {
-          split_tree(pool, *prefix, target, leaf, combine, depth + 1, cl);
-        },
-        [&, cr = cr] {
-          split_tree(pool, fp, target, leaf, combine, depth + 1, cr);
-        });
+    pool.invoke_two([&, cl = cl] { half(parts, mid, cl); },
+                    [&, cr = cr] { half(parts + mid, n - mid, cr); });
   } else {
     std::optional<R> left;
     std::optional<R> right;
-    pool.invoke_two(
-        [&, cl = cl] {
-          left.emplace(
-              split_tree(pool, *prefix, target, leaf, combine, depth + 1, cl));
-        },
-        [&, cr = cr] {
-          right.emplace(
-              split_tree(pool, fp, target, leaf, combine, depth + 1, cr));
-        });
+    pool.invoke_two([&, cl = cl] { left.emplace(half(parts, mid, cl)); },
+                    [&, cr = cr] {
+                      right.emplace(half(parts + mid, n - mid, cr));
+                    });
     return combine(std::move(*left), std::move(*right), depth, cp);
   }
 }
@@ -465,7 +502,8 @@ auto drive_plan(FusedPipeline& fp, bool parallel, const ExecutionConfig& cfg,
   auto& pool = cfg.effective_pool();
   observe::CpNode* cp = observe::cp_new_root();
   const auto walk = [&] {
-    return split_tree(pool, fp, plan.grain, leaf, combine, 0, cp);
+    return split_tree(pool, fp, plan.grain, plan.arity, leaf, combine, 0,
+                      cp);
   };
   if constexpr (std::is_void_v<leaf_result_t<Leaf>>) {
     pool.run(walk);
@@ -687,15 +725,18 @@ struct TerminalTraits<T, terminals::FindFirst> {
 /// element type is T: plan (plan_fused_pipeline decides DPS, grain, drive
 /// and kernel in one place), record the plan for pls::session::explain(),
 /// and run on its verdicts. The static pipeline calls this after
-/// appending its StaticChainStage.
+/// appending its StaticChainStage; the multiway collect passes the
+/// `arity` its splits ask for (plist/multiway_spliterator.hpp).
 template <typename T, typename Term>
 auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
                     const ExecutionConfig& cfg = {},
-                    PlanOrigin origin = PlanOrigin::kStatic) {
+                    PlanOrigin origin = PlanOrigin::kStatic,
+                    unsigned arity = 2) {
   using Traits = detail::TerminalTraits<T, Term>;
   ExecutionPlan plan =
       plan_fused_pipeline(fused, Traits::kind, Traits::sized_collector,
                           Traits::chunk_collector, parallel, cfg, origin);
+  plan.arity = arity;
   record_plan(plan);
   // Declared before the dispatch: its destructor fires once the
   // terminal's result is materialized, appending one RunRecord covering

@@ -340,6 +340,9 @@ struct ExecutionPlan {
   GrainSource grain_source = GrainSource::kNone;
   KernelMode kernel = KernelMode::kScalarLoop;
   std::uint64_t cache_key = 0;  ///< PlanCache shape key (parallel plans)
+  /// Parts asked of each split (Spliterator::try_split_n when above 2;
+  /// sources that refuse split in two). Only the multiway collect sets it.
+  unsigned arity = 2;
 
   /// Human-readable dump (pls::session::explain()).
   std::string explain() const {
@@ -375,6 +378,7 @@ struct ExecutionPlan {
     if (parallel && drive == DriveMode::kForkJoinTree) {
       os << ", grain " << grain << " (" << grain_source_name(grain_source)
          << ")";
+      if (arity > 2) os << ", arity " << arity;
     }
     os << '\n';
     os << "  kernel : " << kernel_name(kernel) << '\n';
@@ -398,8 +402,8 @@ inline PlanReason dps_window_reason(bool sized_subsized,
   return PlanReason::kAdmitted;
 }
 
-/// DPS admission over a bare spliterator (the multiway collect and the
-/// routing tests): the spliterator must pass dps_window_reason; 1:1
+/// DPS admission over a bare spliterator (the routing tests): the
+/// spliterator must pass dps_window_reason; 1:1
 /// wrappers delegate their upstream's window, anything else names none.
 template <typename T>
 std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {

@@ -6,7 +6,10 @@
 // processing: try_split carves off a *prefix* of the remaining elements as
 // a new spliterator, leaving this one with the suffix — exactly Java's
 // contract, which the PowerList TieSpliterator and ZipSpliterator
-// specialise (see src/powerlist/spliterators.hpp).
+// specialise (see src/powerlist/spliterators.hpp). try_split_n is the
+// n-way split Section V of the paper proposes ("a trySplit method that
+// returns a set of Spliterators"); sources that cannot split n ways refuse
+// it, and the split-tree walk then falls back to try_split.
 //
 // The interface is virtual by design: the paper's central mechanism is a
 // Collector-owned spliterator subclass that performs extra work during the
@@ -20,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "streams/characteristics.hpp"
 #include "support/function_ref.hpp"
@@ -100,6 +104,16 @@ class Spliterator {
   /// spliterator, or return nullptr when this spliterator cannot or will
   /// not split further.
   virtual std::unique_ptr<Spliterator<T>> try_split() = 0;
+
+  /// Partition off n-1 spliterators that, together with this one (which
+  /// keeps the *last* part), cover all remaining elements in encounter
+  /// order: returned[0] first, ..., this last. Returns an empty vector,
+  /// touching nothing, when the source cannot split n ways — the default.
+  virtual std::vector<std::unique_ptr<Spliterator<T>>> try_split_n(
+      std::size_t n) {
+    (void)n;
+    return {};
+  }
 
   /// Estimated number of remaining elements (exact when kSized).
   virtual std::uint64_t estimate_size() const = 0;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -87,6 +89,21 @@ TEST(Counters, AggregateSeesOtherThreads) {
   EXPECT_EQ(delta.combines, 100u * kThreads);
 }
 
+/// Whether the pool's steal-failure tally and its per-worker blocks agree,
+/// from a consistent read. Idle workers keep sweeping after run() returns
+/// and bump the two counts one after the other, so read tally, blocks,
+/// tally until all three are equal (a bounded number of times).
+bool steal_failures_agree(const pls::forkjoin::ForkJoinPool& pool) {
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const std::uint64_t first = pool.steal_failure_count();
+    const std::uint64_t blocks = pool.counter_totals().steal_failures;
+    const std::uint64_t last = pool.steal_failure_count();
+    if (first == last && blocks == first) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return false;
+}
+
 TEST(Counters, PoolPerWorkerStealAccounting) {
   pls::forkjoin::ForkJoinPool pool(4);
   // Irregular fan-out forces real stealing between the four workers.
@@ -111,7 +128,7 @@ TEST(Counters, PoolPerWorkerStealAccounting) {
     return;
   }
   EXPECT_EQ(totals.steals, pool.steal_count());
-  EXPECT_EQ(totals.steal_failures, pool.steal_failure_count());
+  EXPECT_TRUE(steal_failures_agree(pool));
   // Every forked child is executed exactly once, plus the one external run.
   EXPECT_EQ(totals.tasks_executed, totals.forks + 1);
   CounterTotals recomputed;

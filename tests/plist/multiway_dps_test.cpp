@@ -25,6 +25,8 @@ using pls::plist::NTieSpliterator;
 using pls::plist::NZipSpliterator;
 using pls::streams::VectorCollector;
 
+using SpInt = std::unique_ptr<pls::streams::Spliterator<int>>;
+
 std::shared_ptr<const std::vector<int>> iota_shared(std::size_t n) {
   std::vector<int> v(n);
   std::iota(v.begin(), v.end(), 0);
@@ -36,7 +38,7 @@ class MultiwayDps : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(MultiwayDps, NZipReconstructsIdentityAtArity) {
   const std::size_t arity = GetParam();
   auto data = iota_shared(1 << 10);
-  NZipSpliterator<int> sp(data);
+  SpInt sp = std::make_unique<NZipSpliterator<int>>(data);
   pls::streams::ExecutionConfig cfg;
   ForkJoinPool pool(2);
   cfg.pool = &pool;
@@ -58,7 +60,7 @@ TEST_P(MultiwayDps, NZipReconstructsIdentityAtArity) {
 TEST_P(MultiwayDps, NTieReconstructsIdentityAtArity) {
   const std::size_t arity = GetParam();
   auto data = iota_shared(1 << 10);
-  NTieSpliterator<int> sp(data);
+  SpInt sp = std::make_unique<NTieSpliterator<int>>(data);
   pls::streams::ExecutionConfig cfg;
   ForkJoinPool pool(2);
   cfg.pool = &pool;
@@ -73,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(Arities, MultiwayDps,
 
 TEST(MultiwayDps, SequentialPathAlsoUsesSink) {
   auto data = iota_shared(1 << 8);
-  NZipSpliterator<int> sp(data);
+  SpInt sp = std::make_unique<NZipSpliterator<int>>(data);
   const CounterTotals before = aggregate_counters();
   const auto out = evaluate_collect_multiway(sp, VectorCollector<int>{}, 4,
                                              /*parallel=*/false);
@@ -90,7 +92,7 @@ TEST(MultiwayDps, LegacyPathStillFoldsForTieSources) {
   // concat folds are fine for tie) — the guardrail that the old path
   // keeps working.
   auto data = iota_shared(1 << 8);
-  NTieSpliterator<int> sp(data);
+  SpInt sp = std::make_unique<NTieSpliterator<int>>(data);
   pls::streams::ExecutionConfig cfg;
   ForkJoinPool pool(2);
   cfg.pool = &pool;
@@ -111,7 +113,7 @@ TEST(MultiwayDps, NonPowerOfTwoFallsBackToFold) {
   // 3 * 2^6 elements: windowed but not a power of two, so the sized-sink
   // admission rejects it and the fold path runs. Tie is fold-safe.
   auto data = iota_shared(192);
-  NTieSpliterator<int> sp(data);
+  SpInt sp = std::make_unique<NTieSpliterator<int>>(data);
   pls::streams::ExecutionConfig cfg;
   ForkJoinPool pool(2);
   cfg.pool = &pool;

@@ -113,7 +113,8 @@ TEST(MultiwayCollect, TieReconstructionAcrossArities) {
   const auto data = iota(81);  // 3^4: splits 3-ways all the way down
   for (std::size_t arity : {2u, 3u}) {
     auto shared = std::make_shared<const std::vector<int>>(data);
-    NTieSpliterator<int> sp(shared);
+    std::unique_ptr<pls::streams::Spliterator<int>> sp =
+        std::make_unique<NTieSpliterator<int>>(shared);
     const auto out = evaluate_collect_multiway(
         sp, pls::powerlist::to_power_array_tie<int>(), arity, true);
     EXPECT_EQ(out.values(), data) << "arity=" << arity;
@@ -127,7 +128,8 @@ TEST(MultiwayCollect, SumAcrossArities) {
       [](long& l, long& r) { l += r; });
   for (std::size_t arity : {2u, 4u, 8u}) {
     auto shared = std::make_shared<const std::vector<int>>(data);
-    NZipSpliterator<int> sp(shared);
+    std::unique_ptr<pls::streams::Spliterator<int>> sp =
+        std::make_unique<NZipSpliterator<int>>(shared);
     EXPECT_EQ(evaluate_collect_multiway(sp, summing, arity, true), 64 * 65 / 2)
         << "arity=" << arity;
   }

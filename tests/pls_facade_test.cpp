@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 namespace {
@@ -148,6 +150,69 @@ TEST(Facade, SessionCountersDeltaAfterWork) {
     const auto delta = s.counters();
     EXPECT_GT(delta.tasks_executed, 0u);
     EXPECT_EQ(delta.leaf_chunks, 32u);
+    return 0;
+  });
+}
+
+TEST(Facade, ProfiledExecutionKeepsTheSessionProfile) {
+  // Inside a profiling session, execute_profiled adds its tree to the
+  // session's recorder: it neither drops the earlier trees nor turns
+  // profiling off for the runs after it.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  auto& recorder = pls::observe::CriticalPathRecorder::global();
+  ASSERT_FALSE(recorder.enabled());
+  auto data = iota(1 << 10);
+  pls::powerlist::ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  pls::config cfg;
+  cfg.parallelism = 2;
+  cfg.grain = 64;
+  cfg.profile = true;
+  pls::run(cfg, [&](pls::session& s) {
+    (void)s.execute(sum, view);
+    const auto report = s.execute_profiled(sum, view);
+    (void)s.execute(sum, view);
+    EXPECT_TRUE(recorder.enabled());
+    EXPECT_EQ(recorder.roots().size(), 3u);
+    // The report covers its own run (16 leaves of 64); the session's
+    // profile covers all three.
+    EXPECT_EQ(report.profile.leaves, 16u);
+    EXPECT_EQ(report.profile.elements, 1u << 10);
+    const auto all = s.profile();
+    EXPECT_EQ(all.leaves, 3u * 16u);
+    EXPECT_EQ(all.elements, 3u << 10);
+    return 0;
+  });
+  EXPECT_FALSE(recorder.enabled());
+  recorder.clear();
+}
+
+TEST(Facade, MultiwayCollectIsOneRecordedRun) {
+  // The multiway collect is an ordinary planned terminal: one plan that
+  // names its arity, and exactly one RunRecord.
+  auto data = std::make_shared<const std::vector<long>>(iota(729));  // 3^6
+  pls::config cfg;
+  cfg.parallelism = 2;
+  cfg.grain = 27;
+  pls::run(cfg, [&](pls::session& s) {
+    std::unique_ptr<pls::streams::Spliterator<long>> sp =
+        std::make_unique<pls::plist::NTieSpliterator<long>>(data);
+    const auto out = pls::plist::evaluate_collect_multiway(
+        sp, pls::streams::VectorCollector<long>{}, 3, true,
+        s.stream_config());
+    EXPECT_EQ(out, *data);
+    EXPECT_EQ(s.plan().arity, 3u);
+    EXPECT_NE(s.explain().find("arity 3"), std::string::npos) << s.explain();
+    if (pls::observe::kEnabled) {
+      const auto runs = s.runs();
+      EXPECT_EQ(runs.size(), 1u);
+      if (runs.empty()) return 0;
+      EXPECT_EQ(runs[0].cache_key, s.plan().cache_key);
+      // 3^6 elements split three ways down to 27: 27 leaves, 13 splits.
+      EXPECT_EQ(runs[0].counters.leaf_chunks, 27u);
+      EXPECT_EQ(runs[0].counters.splits, 13u);
+      EXPECT_EQ(runs[0].counters.combines, 26u);
+    }
     return 0;
   });
 }

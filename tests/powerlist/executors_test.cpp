@@ -239,6 +239,27 @@ TEST(Executors, ForkJoinReportedMatchesSequential) {
   }
 }
 
+TEST(Executors, ForkJoinReportedCountsStayExactAcrossThreadChurn) {
+  // More worker threads than the counter registry has slots register over
+  // the test, one 4-worker pool at a time: exited workers' slots are
+  // recycled, so every pool's delta still counts each leaf once.
+  ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
+  auto data = iota(256);
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  constexpr unsigned kWorkers = 4;
+  const std::size_t pools =
+      1100 / kWorkers + 1;  // > 1100 registrations > kMaxSlots = 1024
+  for (std::size_t i = 0; i < pools; ++i) {
+    ForkJoinPool pool(kWorkers);
+    const auto report = execute_forkjoin_reported(pool, sum, view, {}, 16);
+    ASSERT_EQ(report.result, 256L * 257L / 2L);
+    if (pls::observe::kEnabled) {
+      ASSERT_EQ(report.counters.leaf_chunks, 256u / 16u) << "pool " << i;
+      ASSERT_EQ(report.counters.elements_accumulated, 256u) << "pool " << i;
+    }
+  }
+}
+
 TEST(Executors, ExecutionReportUnifiesInstrumentedAndSimulatedRuns) {
   ForkJoinPool pool(2);
   auto data = iota(64);

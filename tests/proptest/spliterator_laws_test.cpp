@@ -1,14 +1,17 @@
 // Spliterator contract law suite: every spliterator type in
-// src/streams/spliterators.hpp (Array, Range, Generate, Concat) and
-// src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) — plus the
+// src/streams/spliterators.hpp (Array, Range, Generate, Concat),
+// src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) and
+// src/plist/multiway_spliterator.hpp (NTie, NZip) — plus the
 // map/peek/filter pipeline wrappers — checked against the generic
 // contract checker over generated sizes, values, and split decisions.
+// NTie and NZip also face the n-way split law (try_split_n).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "plist/multiway_spliterator.hpp"
 #include "powerlist/spliterators.hpp"
 #include "proptest/gen.hpp"
 #include "proptest/laws.hpp"
@@ -21,6 +24,7 @@ namespace {
 using namespace pls::proptest;
 namespace streams = pls::streams;
 namespace powerlist = pls::powerlist;
+namespace plist = pls::plist;
 
 using SpInt = std::unique_ptr<streams::Spliterator<std::int64_t>>;
 using Shared = std::shared_ptr<const std::vector<std::int64_t>>;
@@ -168,6 +172,73 @@ TEST(SpliteratorLaws, Zip) {
           return std::make_unique<powerlist::ZipSpliterator<std::int64_t>>(
               shared);
         };
+      },
+      SplitOrder::kInterleaved);
+}
+
+TEST(SpliteratorLaws, NTie) {
+  run_suite("NTieSpliterator laws", false, [](const Case& c) {
+    auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
+    return [shared]() -> SpInt {
+      return std::make_unique<plist::NTieSpliterator<std::int64_t>>(shared);
+    };
+  });
+}
+
+TEST(SpliteratorLaws, NZip) {
+  run_suite(
+      "NZipSpliterator laws", false,
+      [](const Case& c) {
+        auto shared =
+            std::make_shared<const std::vector<std::int64_t>>(c.data);
+        return [shared]() -> SpInt {
+          return std::make_unique<plist::NZipSpliterator<std::int64_t>>(
+              shared);
+        };
+      },
+      SplitOrder::kInterleaved);
+}
+
+/// The n-way split law (try_split_n at arities 2..8) over sizes
+/// 2^a * 3^b * 5^c up to 2^6 * 3^3 * 5, so most arities divide some level
+/// of the split tree.
+template <typename Make>
+void run_split_n_suite(const char* name, Make make, SplitOrder order) {
+  const auto result = check(
+      name, suite_config(),
+      [](Rand& r) {
+        std::uint64_t n = std::uint64_t{1} << r.below(7);
+        for (std::uint64_t b = r.below(4); b > 0; --b) n *= 3;
+        if (r.coin()) n *= 5;
+        Case c;
+        c.data = gen_values(r, n, -1000, 1000);
+        c.split_seed = r.bits();
+        return c;
+      },
+      [](const Case& c) { return shrink_case(c); },
+      [&](const Case& c) {
+        Rand split_rand(c.split_seed);
+        auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
+        return check_spliterator_laws<std::int64_t>(
+            [&]() -> SpInt { return make(shared); }, split_rand, order, 8);
+      });
+  PLS_EXPECT_PROP(result);
+}
+
+TEST(SpliteratorLaws, NTieSplitN) {
+  run_split_n_suite(
+      "NTieSpliterator n-way split laws",
+      [](const Shared& shared) -> SpInt {
+        return std::make_unique<plist::NTieSpliterator<std::int64_t>>(shared);
+      },
+      SplitOrder::kPrefix);
+}
+
+TEST(SpliteratorLaws, NZipSplitN) {
+  run_split_n_suite(
+      "NZipSpliterator n-way split laws",
+      [](const Shared& shared) -> SpInt {
+        return std::make_unique<plist::NZipSpliterator<std::int64_t>>(shared);
       },
       SplitOrder::kInterleaved);
 }
