@@ -71,6 +71,14 @@ class NZipSpliterator final : public powerlist::SpliteratorPower2<T> {
       : powerlist::SpliteratorPower2<T>(data, 0, 1, data ? data->size() : 0) {
   }
 
+  /// INTERLEAVED like the binary ZipSpliterator: the planner then admits
+  /// its window to the destination-passing collect at any size, since no
+  /// pairwise fold restores the source order of its parts.
+  streams::Characteristics characteristics() const override {
+    return powerlist::SpliteratorPower2<T>::characteristics() |
+           streams::kInterleaved;
+  }
+
   std::unique_ptr<streams::Spliterator<T>> try_split() override {
     auto parts = try_split_n(2);
     return parts.empty() ? nullptr : std::move(parts.front());

@@ -7,15 +7,17 @@
 // decimation-in-time algorithm written with zip deconstruction and tie
 // recombination — the flagship example of needing both operators.
 //
-// Also here: powers(), a naive O(n^2) DFT used as the correctness
-// reference, an iterative in-place radix-2 FFT (the conventional
-// optimised formulation, via the inv permutation), and the inverse
-// transform for round-trip tests.
+// Also here: powers(), roots_of_unity() (the table FftFunction caches),
+// a naive O(n^2) DFT used as the correctness reference, an iterative
+// in-place radix-2 FFT (the conventional optimised formulation, via the
+// inv permutation), and the inverse transform for round-trip tests.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <mutex>
 #include <numbers>
 #include <utility>
 #include <vector>
@@ -45,6 +47,22 @@ inline std::vector<Complex> powers(std::size_t n, double sign = -1.0) {
   return u;
 }
 
+/// The n-th roots of unity (w^0, ..., w^{n-1}), w = e^{sign·2πi/n}: entry
+/// m is {cos(θm), sin(θm)} with θ = sign·2π/n. Since 2π/(2n) and π/n are
+/// the same double, the first half of roots_of_unity(2n) equals powers(n)
+/// bit for bit.
+inline std::vector<Complex> roots_of_unity(std::size_t n, double sign = -1.0) {
+  PLS_CHECK(is_power_of_two(n), "roots_of_unity() requires a power of two");
+  std::vector<Complex> w;
+  w.reserve(n);
+  const double theta = sign * 2.0 * std::numbers::pi / static_cast<double>(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const double a = theta * static_cast<double>(m);
+    w.emplace_back(std::cos(a), std::sin(a));
+  }
+  return w;
+}
+
 /// Naive O(n^2) discrete Fourier transform (reference).
 inline std::vector<Complex> dft(PowerListView<const Complex> p,
                                 double sign = -1.0) {
@@ -66,6 +84,12 @@ inline std::vector<Complex> dft(PowerListView<const Complex> p,
 /// The basic case on a leaf sublist is a direct DFT of that sublist (the
 /// "sequential computation" specialisation Section V describes for leaves
 /// where parallel decomposition stopped).
+///
+/// Twiddles come from a per-object table of roots_of_unity, one entry per
+/// length, filled on first use under std::call_once (the hooks are const
+/// and run concurrently) and read by every later call: no trig runs after
+/// the first transform of a size. A transform of N points keeps at most
+/// 2N table entries. The object is therefore neither copyable nor movable.
 class FftFunction final : public PowerFunction<Complex, std::vector<Complex>> {
  public:
   explicit FftFunction(double sign = -1.0) : sign_(sign) {}
@@ -74,21 +98,43 @@ class FftFunction final : public PowerFunction<Complex, std::vector<Complex>> {
     return DecompositionOp::kZip;
   }
 
-  std::vector<Complex> basic_case(PowerListView<const Complex> leaf,
-                                  const NoContext&) const override {
-    if (leaf.length() == 1) return {leaf[0]};
-    return dft(leaf, sign_);
+  /// roots_of_unity(n, sign), computed once per n for this object.
+  const std::vector<Complex>& roots(std::size_t n) const {
+    PLS_CHECK(is_power_of_two(n), "roots() requires a power-of-two length");
+    Level& level = levels_[exact_log2(n)];
+    std::call_once(level.once, [&] { level.w = roots_of_unity(n, sign_); });
+    return level.w;
   }
 
+  /// Direct DFT of the leaf: out[k] = Σ_j leaf[j]·w^{kj}, with w^{kj} read
+  /// from roots(n) at kj mod n.
+  std::vector<Complex> basic_case(PowerListView<const Complex> leaf,
+                                  const NoContext&) const override {
+    const std::size_t n = leaf.length();
+    if (n == 1) return {leaf[0]};
+    const Complex* w = roots(n).data();
+    std::vector<Complex> out(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      Complex acc{0.0, 0.0};
+      for (std::size_t j = 0; j < n; ++j) {
+        acc += leaf[j] * w[(k * j) & (n - 1)];
+      }
+      out[k] = acc;
+    }
+    return out;
+  }
+
+  /// The halves' butterfly with u = powers(n), read as the first half of
+  /// roots(2n) (the same doubles).
   std::vector<Complex> combine(std::vector<Complex>&& left,
                                std::vector<Complex>&& right, const NoContext&,
                                std::size_t) const override {
     const std::size_t n = left.size();
-    const std::vector<Complex> u = powers(n, sign_);
+    const Complex* u = roots(2 * n).data();
     std::vector<Complex> out(2 * n);
     // out[j] = P + u×Q, out[j+n] = P - u×Q (tie recombination), as one
     // vectorized pass over the real/imaginary planes.
-    simd::butterfly_chunk(left.data(), right.data(), u.data(), out.data(),
+    simd::butterfly_chunk(left.data(), right.data(), u, out.data(),
                           out.data() + n, n);
     return out;
   }
@@ -101,7 +147,13 @@ class FftFunction final : public PowerFunction<Complex, std::vector<Complex>> {
   }
 
  private:
+  struct Level {
+    std::once_flag once;
+    std::vector<Complex> w;
+  };
+
   double sign_;
+  mutable std::array<Level, 64> levels_;
 };
 
 /// Iterative in-place radix-2 FFT: inv (bit-reversal) permutation followed

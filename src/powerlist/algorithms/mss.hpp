@@ -60,13 +60,22 @@ T mss_sequential(PowerListView<TV> p) {
 template <typename T>
 class MssFunction final : public PowerFunction<T, MssState<T>> {
  public:
+  /// The leaf's tuple in one Kadane-style pass: the running sum, the
+  /// highest prefix sum (clamped at the empty prefix's 0), Kadane's best
+  /// segment ending here (clamped at the empty segment) — which at the
+  /// end is the best suffix — and the best segment. Over integers this
+  /// equals the fold of MssState::of through mss_combine, field by field.
   MssState<T> basic_case(PowerListView<const T> leaf,
                          const NoContext&) const override {
-    MssState<T> acc = MssState<T>::of(leaf[0]);
-    for (std::size_t i = 1; i < leaf.length(); ++i) {
-      acc = mss_combine(acc, MssState<T>::of(leaf[i]));
+    T sum{}, prefix{}, running{}, best{};
+    for (std::size_t i = 0; i < leaf.length(); ++i) {
+      const T v = leaf[i];
+      sum += v;
+      prefix = std::max(prefix, sum);
+      running = std::max(T{}, running + v);
+      best = std::max(best, running);
     }
-    return acc;
+    return MssState<T>{best, prefix, running, sum};
   }
 
   MssState<T> combine(MssState<T>&& l, MssState<T>&& r, const NoContext&,

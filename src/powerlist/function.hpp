@@ -19,7 +19,9 @@
 // Execution is deliberately separate from definition (Section III): the
 // same function object runs under the sequential, fork-join, simulated and
 // mpisim executors. Implementations must therefore be safe to call
-// concurrently — all hooks are const.
+// concurrently — all hooks are const. A const hook that caches (as
+// FftFunction's roots-of-unity table does) must fill the cache under
+// std::call_once, so concurrent first calls see one complete fill.
 #pragma once
 
 #include <cstddef>

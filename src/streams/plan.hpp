@@ -391,14 +391,22 @@ struct ExecutionPlan {
 /// DPS source admission: the source must be exactly sized through splits
 /// (SIZED|SUBSIZED), name a destination window consistent with its size,
 /// and hold a power of two elements (the shape whose tie/zip splits the
-/// window arithmetic mirrors).
+/// window arithmetic mirrors) unless it is INTERLEAVED. The split
+/// products of any source partition its window, so DPS is correct at
+/// every size; the power-of-two rule only keeps contiguous sources, which
+/// the pairwise fold reassembles in order, on the fold. An interleaved
+/// source's parts fold into a permutation, so its window is admitted at
+/// any size (e.g. an n-way zip over 3·2^k elements).
 inline PlanReason dps_window_reason(bool sized_subsized,
                                     const std::optional<OutputWindow>& w,
-                                    std::uint64_t estimate) {
+                                    std::uint64_t estimate,
+                                    bool interleaved) {
   if (!sized_subsized) return PlanReason::kSourceNotSizedSubsized;
   if (!w.has_value()) return PlanReason::kSourceNotWindowed;
   if (w->count != estimate) return PlanReason::kWindowCountMismatch;
-  if (!is_power_of_two(w->count)) return PlanReason::kNotPowerOfTwo;
+  if (!interleaved && !is_power_of_two(w->count)) {
+    return PlanReason::kNotPowerOfTwo;
+  }
   return PlanReason::kAdmitted;
 }
 
@@ -408,8 +416,8 @@ inline PlanReason dps_window_reason(bool sized_subsized,
 template <typename T>
 std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
   const auto w = output_window_of(sp);
-  if (dps_window_reason(sp.has(kSized | kSubsized), w, sp.estimate_size()) !=
-      PlanReason::kAdmitted) {
+  if (dps_window_reason(sp.has(kSized | kSubsized), w, sp.estimate_size(),
+                        sp.has(kInterleaved)) != PlanReason::kAdmitted) {
     return std::nullopt;
   }
   return w;
@@ -750,7 +758,7 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
     p.dps_reason = PlanReason::kChainCancels;
   } else {
     p.dps_reason = dps_window_reason(p.sized && p.subsized, w,
-                                     fp.estimate_size());
+                                     fp.estimate_size(), p.interleaved);
     if (p.dps_reason == PlanReason::kAdmitted) {
       p.dps = true;
       p.window = w;

@@ -6,7 +6,8 @@
 // phase that physically moves every element O(log n) times. A *sized
 // sink* is the collector's opt-in to the destination-passing (DPS)
 // alternative: when the source spliterator is SIZED|SUBSIZED, windowed
-// (streams::WindowedSource) and power-of-two sized, the evaluator
+// (streams::WindowedSource) and power-of-two sized (any size when
+// INTERLEAVED), the evaluator
 // allocates the result once via supply_sized(n), every leaf writes its
 // elements straight to their final positions via accumulate_at, the
 // combine phase is a no-op join, and finish_sized maps the filled sink to

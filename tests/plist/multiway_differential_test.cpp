@@ -66,8 +66,8 @@ std::uint64_t plain_sum(const std::vector<std::int64_t>& v) {
 }
 
 /// One (data, arity, pool) cell: NTie on both collect paths, NZip through
-/// the sized sink where the planner admits it (power-of-two sizes) and
-/// through the exact sum everywhere.
+/// the sized sink (admitted at every size, the source being interleaved)
+/// and through the exact sum.
 void check_cell(const Data& data, std::size_t arity, ForkJoinPool& pool) {
   const pls::streams::VectorCollector<std::int64_t> to_vector;
   ExecutionConfig cfg;
@@ -84,14 +84,12 @@ void check_cell(const Data& data, std::size_t arity, ForkJoinPool& pool) {
     ASSERT_EQ(seq, *data) << "tie sized_sink=" << sized_sink;
     ASSERT_EQ(par, seq) << "tie sized_sink=" << sized_sink;
   }
-  if (pls::is_power_of_two(data->size())) {
-    cfg.sized_sink = true;
-    const auto par =
-        collect<NZipSpliterator<std::int64_t>>(data, to_vector, arity, true,
-                                               cfg);
-    ASSERT_TRUE(pls::streams::last_plan().dps);
-    ASSERT_EQ(par, *data) << "zip through the sized sink";
-  }
+  cfg.sized_sink = true;
+  const auto zip_par =
+      collect<NZipSpliterator<std::int64_t>>(data, to_vector, arity, true,
+                                             cfg);
+  ASSERT_TRUE(pls::streams::last_plan().dps);
+  ASSERT_EQ(zip_par, *data) << "zip through the sized sink";
   cfg.sized_sink = false;
   const std::uint64_t seq =
       collect<NZipSpliterator<std::int64_t>>(data, kSum, arity, false, cfg);

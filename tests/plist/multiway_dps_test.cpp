@@ -128,4 +128,29 @@ TEST(MultiwayDps, NonPowerOfTwoFallsBackToFold) {
   }
 }
 
+TEST(MultiwayDps, NZipKeepsSourceOrderAtNonPowerOfTwoSizes) {
+  // An interleaved source is admitted to the sized sink at any size: the
+  // pairwise fold would concatenate its residue classes (0 9 18 3 12 ...
+  // for 27 elements at arity 3) instead of keeping source order.
+  ForkJoinPool pool(2);
+  std::vector<std::size_t> sizes{27};
+  for (std::size_t n = 3; n <= 3 * (std::size_t{1} << 8); n *= 2) {
+    sizes.push_back(n);
+  }
+  for (const std::size_t n : sizes) {
+    for (std::size_t arity = 3; arity <= 8; ++arity) {
+      auto data = iota_shared(n);
+      SpInt sp = std::make_unique<NZipSpliterator<int>>(data);
+      pls::streams::ExecutionConfig cfg;
+      cfg.pool = &pool;
+      cfg.min_chunk = 3;
+      const auto out = evaluate_collect_multiway(
+          sp, VectorCollector<int>{}, arity, /*parallel=*/true, cfg);
+      EXPECT_EQ(out, *data) << "n=" << n << " arity=" << arity;
+      EXPECT_TRUE(pls::streams::last_plan().dps)
+          << "n=" << n << " arity=" << arity;
+    }
+  }
+}
+
 }  // namespace

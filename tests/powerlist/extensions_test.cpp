@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "forkjoin/pool.hpp"
 #include "powerlist/algorithms/convolution.hpp"
@@ -65,6 +66,49 @@ TEST(Mss, ForkJoinMatchesSequential) {
   const auto par = execute_forkjoin(pool, f, view_of(data), {}, 32);
   EXPECT_EQ(seq, par);
   EXPECT_EQ(seq.best, mss_sequential(view_of(data)));
+}
+
+/// The leaf as a left fold of singleton tuples through mss_combine: the
+/// definition the one-pass basic_case must reproduce.
+MssState<std::int64_t> mss_fold(const std::vector<std::int64_t>& v) {
+  MssState<std::int64_t> acc = MssState<std::int64_t>::of(v[0]);
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    acc = mss_combine(acc, MssState<std::int64_t>::of(v[i]));
+  }
+  return acc;
+}
+
+TEST(Mss, OnePassLeafEqualsFoldFieldByField) {
+  pls::Xoshiro256 rng(23);
+  const MssFunction<std::int64_t> f;
+  // Random values within ±2^40, so no 2^12-element sum overflows.
+  const auto random = [&] {
+    return static_cast<std::int64_t>(rng() >> 23) -
+           (std::int64_t{1} << 40);
+  };
+  for (std::size_t n = 1; n <= (std::size_t{1} << 12); n <<= 1) {
+    std::vector<std::vector<std::int64_t>> inputs = {
+        std::vector<std::int64_t>(n), std::vector<std::int64_t>(n),
+        std::vector<std::int64_t>(n), std::vector<std::int64_t>(n, 0)};
+    for (auto& v : inputs[0]) v = random();
+    for (auto& v : inputs[1]) {
+      v = -1 - static_cast<std::int64_t>(rng.next_below(1000));  // < 0
+    }
+    for (auto& v : inputs[2]) {
+      v = 1 + static_cast<std::int64_t>(rng.next_below(1000));  // > 0
+    }
+    for (std::size_t kind = 0; kind < inputs.size(); ++kind) {
+      const auto& v = inputs[kind];
+      const auto leaf = f.basic_case(view_of(v), NoContext{});
+      const auto fold = mss_fold(v);
+      EXPECT_EQ(leaf.best, fold.best) << "n=" << n << " kind=" << kind;
+      EXPECT_EQ(leaf.prefix, fold.prefix) << "n=" << n << " kind=" << kind;
+      EXPECT_EQ(leaf.suffix, fold.suffix) << "n=" << n << " kind=" << kind;
+      EXPECT_EQ(leaf.total, fold.total) << "n=" << n << " kind=" << kind;
+      EXPECT_EQ(leaf.best, mss_sequential(view_of(v)))
+          << "n=" << n << " kind=" << kind;
+    }
+  }
 }
 
 // ---- convolution -----------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "forkjoin/pool.hpp"
 #include "powerlist/executors.hpp"
 #include "support/rng.hpp"
@@ -119,6 +122,80 @@ TEST(Fft, ForkJoinMatchesSequential) {
   const auto par =
       execute_forkjoin(pool, fft, view_of(std::as_const(x)), {}, 4);
   expect_near(par, seq, 1e-12);
+}
+
+void expect_bitwise_equal(const std::vector<Complex>& a,
+                          const std::vector<Complex>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].real(), b[i].real()) << "re at " << i;
+    EXPECT_EQ(a[i].imag(), b[i].imag()) << "im at " << i;
+  }
+}
+
+TEST(Fft, RootsTableHalfIsPowersExactly) {
+  // The combine of two length-n halves reads roots(2n)'s first half in
+  // place of powers(n): the doubles must be the same, not just close, so
+  // the butterflies produce the same bits as with powers().
+  for (const double sign : {-1.0, 1.0}) {
+    const FftFunction fft(sign);
+    for (std::size_t n = 1; n <= (std::size_t{1} << 14); n <<= 1) {
+      const std::vector<Complex>& w = fft.roots(2 * n);
+      const std::vector<Complex> u = powers(n, sign);
+      ASSERT_EQ(w.size(), 2 * n);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(w[j].real(), u[j].real()) << "n=" << n << " j=" << j;
+        ASSERT_EQ(w[j].imag(), u[j].imag()) << "n=" << n << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(Fft, RootsAreFilledOnceAndReused) {
+  const FftFunction fft;
+  const std::vector<Complex>& a = fft.roots(64);
+  EXPECT_EQ(&fft.roots(64), &a) << "the second call reads the same table";
+  EXPECT_EQ(a, roots_of_unity(64));
+}
+
+TEST(Fft, ForkJoinBitIdenticalToSequentialAcrossLeafSizes) {
+  // Both executors run the same leaves and the same combine tree, reading
+  // the same roots table, so the spectra agree to the bit.
+  ForkJoinPool pool(3);
+  const auto x = random_signal(1024, 37);
+  const FftFunction fft;
+  for (std::size_t leaf = 1; leaf <= 64; leaf <<= 1) {
+    const auto seq =
+        execute_sequential(fft, view_of(std::as_const(x)), {}, leaf);
+    const auto par =
+        execute_forkjoin(pool, fft, view_of(std::as_const(x)), {}, leaf);
+    expect_bitwise_equal(par, seq);
+  }
+}
+
+TEST(Fft, ColdTableSharedAcrossConcurrentPools) {
+  // One FftFunction with an empty table, several threads each driving its
+  // own pool at the same moment: the call_once fill must hand every
+  // caller a complete table, so all spectra are the same bits.
+  constexpr int kThreads = 4;
+  const auto x = random_signal(std::size_t{1} << 12, 41);
+  const FftFunction fft;
+  std::vector<std::vector<Complex>> out(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ForkJoinPool pool(2);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      out[t] = execute_forkjoin(pool, fft, view_of(std::as_const(x)), {}, 8);
+    });
+  }
+  for (auto& th : threads) th.join();
+  auto reference = x;
+  fft_in_place(reference);
+  expect_near(out[0], reference, 1e-8);
+  for (int t = 1; t < kThreads; ++t) expect_bitwise_equal(out[t], out[0]);
 }
 
 TEST(Fft, RoundTripThroughInverse) {
