@@ -1,4 +1,4 @@
-// Observability kill switch + clock source.
+// Observability kill switch, clock source, and the recorders' scope rule.
 //
 // The whole src/observe/ subsystem compiles down to nothing when
 // PLS_OBSERVE is 0: counter blocks become empty structs with no-op inline
@@ -75,5 +75,32 @@ inline double steady_now_ms() noexcept {
                  .count()) /
          1e6;
 }
+
+/// The one scope rule of the process-global recorders (TraceSession,
+/// ProfileSession): a scope that finds its recorder off clears it, turns
+/// it on, and on exit (unwinding included) turns it off and flushes it; a
+/// scope that finds it already on leaves it alone, so an inner scope
+/// keeps everything the outer one records.
+template <typename Recorder>
+class RecorderScope {
+ public:
+  RecorderScope() : owned_(!Recorder::global().enabled()) {
+    if (owned_) {
+      Recorder::global().clear();
+      Recorder::global().enable();
+    }
+  }
+  RecorderScope(const RecorderScope&) = delete;
+  RecorderScope& operator=(const RecorderScope&) = delete;
+  ~RecorderScope() {
+    if (!owned_) return;
+    Recorder& r = Recorder::global();
+    r.disable();
+    if constexpr (requires { r.flush(); }) r.flush();
+  }
+
+ private:
+  bool owned_;
+};
 
 }  // namespace pls::observe

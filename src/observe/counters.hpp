@@ -33,6 +33,7 @@
 // member function to a no-op; call sites compile to nothing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -45,7 +46,7 @@
 namespace pls::observe {
 
 /// Plain aggregated totals — always a real struct, in both build modes, so
-/// reporting code (benches, ExecutionReport, the pls:: facade) never needs
+/// reporting code (benches, RunRecord, the pls:: facade) never needs
 /// to be conditional.
 struct CounterTotals {
   std::uint64_t tasks_executed = 0;
@@ -60,41 +61,6 @@ struct CounterTotals {
   std::uint64_t bytes_moved = 0;
   std::uint64_t allocations = 0;
   std::uint64_t fused_leaves = 0;
-
-  CounterTotals& operator+=(const CounterTotals& o) {
-    tasks_executed += o.tasks_executed;
-    steals += o.steals;
-    steal_failures += o.steal_failures;
-    forks += o.forks;
-    splits += o.splits;
-    max_split_depth = max_split_depth > o.max_split_depth
-                          ? max_split_depth
-                          : o.max_split_depth;
-    elements_accumulated += o.elements_accumulated;
-    leaf_chunks += o.leaf_chunks;
-    combines += o.combines;
-    bytes_moved += o.bytes_moved;
-    allocations += o.allocations;
-    fused_leaves += o.fused_leaves;
-    return *this;
-  }
-
-  /// Delta of two snapshots taken from the same (monotonic) source.
-  /// max_split_depth is not a counter; the later snapshot's value is kept.
-  friend CounterTotals operator-(CounterTotals a, const CounterTotals& b) {
-    a.tasks_executed -= b.tasks_executed;
-    a.steals -= b.steals;
-    a.steal_failures -= b.steal_failures;
-    a.forks -= b.forks;
-    a.splits -= b.splits;
-    a.elements_accumulated -= b.elements_accumulated;
-    a.leaf_chunks -= b.leaf_chunks;
-    a.combines -= b.combines;
-    a.bytes_moved -= b.bytes_moved;
-    a.allocations -= b.allocations;
-    a.fused_leaves -= b.fused_leaves;
-    return a;
-  }
 };
 
 /// One entry of the canonical counter-field table: the schema name, a
@@ -129,6 +95,31 @@ inline constexpr CounterField kCounterFields[] = {
 inline constexpr std::size_t kCounterFieldCount =
     sizeof(kCounterFields) / sizeof(kCounterFields[0]);
 
+/// Position of a CounterTotals field in kCounterFields.
+constexpr std::size_t counter_index(std::uint64_t CounterTotals::*member) {
+  std::size_t i = 0;
+  while (kCounterFields[i].member != member) ++i;
+  return i;
+}
+
+/// Field-wise sum; max_split_depth, a high-water mark, takes the larger.
+inline CounterTotals& operator+=(CounterTotals& a, const CounterTotals& b) {
+  for (const CounterField& f : kCounterFields) {
+    a.*f.member = f.monotone ? a.*f.member + b.*f.member
+                             : std::max(a.*f.member, b.*f.member);
+  }
+  return a;
+}
+
+/// Delta of two snapshots taken from the same (monotonic) source.
+/// max_split_depth is not a counter; the later snapshot's value is kept.
+inline CounterTotals operator-(CounterTotals a, const CounterTotals& b) {
+  for (const CounterField& f : kCounterFields) {
+    if (f.monotone) a.*f.member -= b.*f.member;
+  }
+  return a;
+}
+
 /// One worker's labelled totals, as returned by CounterRegistry::per_worker.
 struct WorkerCounters {
   std::string label;
@@ -162,86 +153,58 @@ struct CounterSnapshot {
 
 #if PLS_OBSERVE
 
-/// One thread's counters: cache-line aligned (two lines since the
-/// bytes_moved/allocations fields), never shared for writing.
+/// One thread's counters, one atomic per kCounterFields entry, in table
+/// order: cache-line aligned (two lines), never shared for writing.
 struct alignas(kCacheLineSize) CounterBlock {
-  std::atomic<std::uint64_t> tasks_executed{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> steal_failures{0};
-  std::atomic<std::uint64_t> forks{0};
-  std::atomic<std::uint64_t> splits{0};
-  std::atomic<std::uint64_t> max_split_depth{0};
-  std::atomic<std::uint64_t> elements_accumulated{0};
-  std::atomic<std::uint64_t> leaf_chunks{0};
-  std::atomic<std::uint64_t> combines{0};
-  std::atomic<std::uint64_t> bytes_moved{0};
-  std::atomic<std::uint64_t> allocations{0};
-  std::atomic<std::uint64_t> fused_leaves{0};
-
-  void on_task_executed() noexcept { bump(tasks_executed); }
+  void on_task_executed() noexcept { add<&CounterTotals::tasks_executed>(); }
   void on_steal(bool success) noexcept {
-    bump(success ? steals : steal_failures);
+    success ? add<&CounterTotals::steals>()
+            : add<&CounterTotals::steal_failures>();
   }
-  void on_fork() noexcept { bump(forks); }
+  void on_fork() noexcept { add<&CounterTotals::forks>(); }
   void on_split(std::uint64_t depth) noexcept {
-    bump(splits);
-    raise_to(max_split_depth, depth);
+    add<&CounterTotals::splits>();
+    auto& high = field<&CounterTotals::max_split_depth>();
+    std::uint64_t cur = high.load(std::memory_order_relaxed);
+    while (cur < depth &&
+           !high.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
+    }
   }
   void on_leaf(std::uint64_t elements) noexcept {
-    bump(leaf_chunks);
-    elements_accumulated.fetch_add(elements, std::memory_order_relaxed);
+    add<&CounterTotals::leaf_chunks>();
+    add<&CounterTotals::elements_accumulated>(elements);
   }
-  void on_combine() noexcept { bump(combines); }
+  void on_combine() noexcept { add<&CounterTotals::combines>(); }
   void on_bytes_moved(std::uint64_t bytes) noexcept {
-    bytes_moved.fetch_add(bytes, std::memory_order_relaxed);
+    add<&CounterTotals::bytes_moved>(bytes);
   }
-  void on_allocation() noexcept { bump(allocations); }
-  void on_fused_leaf() noexcept { bump(fused_leaves); }
+  void on_allocation() noexcept { add<&CounterTotals::allocations>(); }
+  void on_fused_leaf() noexcept { add<&CounterTotals::fused_leaves>(); }
 
   CounterTotals snapshot() const noexcept {
     CounterTotals t;
-    t.tasks_executed = tasks_executed.load(std::memory_order_relaxed);
-    t.steals = steals.load(std::memory_order_relaxed);
-    t.steal_failures = steal_failures.load(std::memory_order_relaxed);
-    t.forks = forks.load(std::memory_order_relaxed);
-    t.splits = splits.load(std::memory_order_relaxed);
-    t.max_split_depth = max_split_depth.load(std::memory_order_relaxed);
-    t.elements_accumulated =
-        elements_accumulated.load(std::memory_order_relaxed);
-    t.leaf_chunks = leaf_chunks.load(std::memory_order_relaxed);
-    t.combines = combines.load(std::memory_order_relaxed);
-    t.bytes_moved = bytes_moved.load(std::memory_order_relaxed);
-    t.allocations = allocations.load(std::memory_order_relaxed);
-    t.fused_leaves = fused_leaves.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kCounterFieldCount; ++i) {
+      t.*kCounterFields[i].member = fields_[i].load(std::memory_order_relaxed);
+    }
     return t;
   }
 
   void reset() noexcept {
-    tasks_executed.store(0, std::memory_order_relaxed);
-    steals.store(0, std::memory_order_relaxed);
-    steal_failures.store(0, std::memory_order_relaxed);
-    forks.store(0, std::memory_order_relaxed);
-    splits.store(0, std::memory_order_relaxed);
-    max_split_depth.store(0, std::memory_order_relaxed);
-    elements_accumulated.store(0, std::memory_order_relaxed);
-    leaf_chunks.store(0, std::memory_order_relaxed);
-    combines.store(0, std::memory_order_relaxed);
-    bytes_moved.store(0, std::memory_order_relaxed);
-    allocations.store(0, std::memory_order_relaxed);
-    fused_leaves.store(0, std::memory_order_relaxed);
+    for (auto& f : fields_) f.store(0, std::memory_order_relaxed);
   }
 
  private:
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.fetch_add(1, std::memory_order_relaxed);
+  template <std::uint64_t CounterTotals::*M>
+  std::atomic<std::uint64_t>& field() noexcept {
+    constexpr std::size_t i = counter_index(M);
+    return fields_[i];
   }
-  static void raise_to(std::atomic<std::uint64_t>& c,
-                       std::uint64_t v) noexcept {
-    std::uint64_t cur = c.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !c.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
+  template <std::uint64_t CounterTotals::*M>
+  void add(std::uint64_t n = 1) noexcept {
+    field<M>().fetch_add(n, std::memory_order_relaxed);
   }
+
+  std::atomic<std::uint64_t> fields_[kCounterFieldCount] = {};
 };
 
 /// Process-wide registry of per-thread counter blocks. A thread claims a

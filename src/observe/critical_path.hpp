@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,12 +78,6 @@ struct PhaseBreakdown {
 
   double total_ns() const noexcept {
     return split_ns + accumulate_ns + combine_ns;
-  }
-  PhaseBreakdown& operator+=(const PhaseBreakdown& o) noexcept {
-    split_ns += o.split_ns;
-    accumulate_ns += o.accumulate_ns;
-    combine_ns += o.combine_ns;
-    return *this;
   }
 };
 
@@ -135,6 +130,23 @@ struct CriticalPathStats {
     row("combine", phases.combine_ns);
     if (wall_ns > 0.0 && workers > 0) row("steal-idle", idle);
     return t.to_string();
+  }
+
+  /// The work/span/parallelism header (plus the Brent bound when
+  /// `workers` is given) over phase_table(wall_ns, workers). Empty when
+  /// nothing was profiled.
+  std::string profile_summary(double wall_ns = 0.0,
+                              unsigned workers = 0) const {
+    if (empty()) return {};
+    std::ostringstream os;
+    os << "work T1 = " << work_ns / 1e6 << " ms, span Tinf = "
+       << span_ns / 1e6 << " ms, parallelism T1/Tinf = " << parallelism();
+    if (workers > 0) {
+      os << ", Brent bound T" << workers << " <= "
+         << brent_bound_ns(workers) / 1e6 << " ms";
+    }
+    os << '\n' << phase_table(wall_ns, workers);
+    return os.str();
   }
 };
 
@@ -278,6 +290,22 @@ inline void cp_add_elements(CpNode* node, std::uint64_t elements) {
   if (node != nullptr) node->elements += elements;
 }
 
+/// Critical-path profiling under the RecorderScope rule. stats() analyses
+/// only the trees recorded since the scope opened, so an inner scope
+/// reports its own runs while the outer keeps all of them. The recorder is
+/// process-global: profile one computation at a time.
+class ProfileSession : RecorderScope<CriticalPathRecorder> {
+ public:
+  ProfileSession() : since_(CriticalPathRecorder::global().mark()) {}
+
+  CriticalPathStats stats() const {
+    return CriticalPathRecorder::global().analyze(ns_per_tick(), since_);
+  }
+
+ private:
+  CpMark since_;
+};
+
 /// RAII phase timer for one node: no-cost when the node is nullptr.
 class CpScope {
  public:
@@ -321,6 +349,11 @@ inline std::pair<CpNode*, CpNode*> cp_fork(CpNode*) {
   return {nullptr, nullptr};
 }
 inline void cp_add_elements(CpNode*, std::uint64_t) {}
+
+struct ProfileSession {
+  ProfileSession() noexcept {}  // user-provided: a scope, never "unused"
+  CriticalPathStats stats() const { return {}; }
+};
 
 struct CpScope {
   CpScope(CpNode*, CpPhase) noexcept {}

@@ -8,11 +8,11 @@
 //   values escaped per the spec. Scrape-ready for the future service
 //   layer; real in both build modes (an empty sample renders nothing).
 //
-//   MetricsLog is the file exporter: one JSON object per line, mirroring
-//   the PLS_TRACE_PATH lifecycle exactly — the destination comes from the
-//   PLS_METRICS_PATH environment variable (or set_output_path()), and
-//   enable() registers an atexit flush so an early exit() still leaves a
-//   valid log behind. Lines are:
+//   MetricsLog is the file exporter: one JSON object per line, on the
+//   same FileSink as the trace (observe/file_sink.hpp) — the destination
+//   comes from the PLS_METRICS_PATH environment variable (or
+//   set_output_path()), and enable() registers an atexit flush so an
+//   early exit() still leaves a valid log behind. Lines are:
 //     {"type":"run", ...}     one per RunRegistry record: plan identity
 //                             (cache_key as a decimal *string* — full
 //                             64-bit keys do not survive JSON doubles),
@@ -33,18 +33,15 @@
 // every call site compiles to nothing.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <string>
 
 #include "observe/config.hpp"
 #include "observe/counters.hpp"
+#include "observe/file_sink.hpp"
 #include "observe/metrics.hpp"
 #include "observe/run_registry.hpp"
 #include "observe/sampler.hpp"
@@ -82,29 +79,15 @@ inline std::string fmt_double(double v) {
   return buf;
 }
 
-/// Prometheus label-value escaping: backslash, double-quote, line feed.
-inline std::string prom_escape_label(const std::string& s) {
+/// Prometheus escaping: backslash and line feed, plus double-quote in
+/// label values (HELP text keeps its quotes).
+inline std::string prom_escape(const std::string& s, bool label) {
   std::string out;
   for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-/// Prometheus HELP-text escaping: backslash and line feed only.
-inline std::string prom_escape_help(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
+    if (c == '\\') out += "\\\\";
+    else if (c == '\n') out += "\\n";
+    else if (c == '"' && label) out += "\\\"";
+    else out += c;
   }
   return out;
 }
@@ -129,7 +112,7 @@ inline void write_prometheus(std::ostream& os, const MetricsSample& sample) {
     if (seen) continue;
     if (!head.help.empty()) {
       os << "# HELP " << head.name << ' '
-         << detail::prom_escape_help(head.help) << '\n';
+         << detail::prom_escape(head.help, false) << '\n';
     }
     os << "# TYPE " << head.name << ' '
        << (head.kind == MetricKind::kCounter ? "counter" : "gauge") << '\n';
@@ -139,7 +122,7 @@ inline void write_prometheus(std::ostream& os, const MetricsSample& sample) {
       os << row.name;
       if (!row.label_key.empty()) {
         os << '{' << row.label_key << "=\""
-           << detail::prom_escape_label(row.label_value) << "\"}";
+           << detail::prom_escape(row.label_value, true) << "\"}";
       }
       os << ' ' << detail::fmt_double(row.value) << '\n';
     }
@@ -223,51 +206,35 @@ class MetricsLog {
     (void)MetricsRegistry::global();
     (void)RunRegistry::global();
     (void)MetricsSampler::global();
-    bool expected = false;
-    if (atexit_registered_.compare_exchange_strong(expected, true)) {
-      std::atexit([] { MetricsLog::global().flush(); });
-    }
+    sink_.arm_at_exit([] { MetricsLog::global().flush(); });
   }
 
   /// Destination for flush(); empty disables file output. Initialised
   /// from the PLS_METRICS_PATH environment variable.
-  void set_output_path(std::string path) {
-    std::lock_guard<std::mutex> lock(path_mutex_);
-    output_path_ = std::move(path);
-  }
-
-  std::string output_path() const {
-    std::lock_guard<std::mutex> lock(path_mutex_);
-    return output_path_;
-  }
+  void set_output_path(std::string path) { sink_.set_path(std::move(path)); }
+  std::string output_path() const { return sink_.path(); }
 
   /// Write every retained run record, then every retained sample, one
   /// JSON object per line. A no-op when no path is set or there is
-  /// nothing to write; returns whether a file was written. Idempotent —
-  /// flushing twice rewrites the same content.
+  /// nothing to write; returns whether the whole file was written.
+  /// Idempotent — flushing twice rewrites the same content.
   bool flush() const {
-    const std::string path = output_path();
-    if (path.empty()) return false;
-    const auto runs = RunRegistry::global().records();
-    const auto samples = MetricsSampler::global().ring().samples();
-    if (runs.empty() && samples.empty()) return false;
-    std::ofstream out(path);
-    if (!out) return false;
-    for (const RunRecord& r : runs) out << run_record_json(r) << '\n';
-    for (const MetricsSample& s : samples) out << sample_json(s) << '\n';
-    return static_cast<bool>(out);
+    return sink_.write([] {
+      std::string text;
+      for (const RunRecord& r : RunRegistry::global().records()) {
+        text += run_record_json(r) + '\n';
+      }
+      for (const MetricsSample& s : MetricsSampler::global().ring().samples()) {
+        text += sample_json(s) + '\n';
+      }
+      return text;
+    });
   }
 
  private:
-  MetricsLog() {
-    if (const char* env = std::getenv("PLS_METRICS_PATH")) {
-      output_path_ = env;
-    }
-  }
+  MetricsLog() = default;
 
-  std::atomic<bool> atexit_registered_{false};
-  mutable std::mutex path_mutex_;
-  std::string output_path_;
+  FileSink sink_{"PLS_METRICS_PATH"};
 };
 
 /// Scoped telemetry session: clears stale ring/run state, arms the JSONL

@@ -30,7 +30,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "observe/config.hpp"
 #include "support/align.hpp"
@@ -278,14 +277,6 @@ class HistogramRegistry {
     return s;
   }
 
-  std::vector<HistogramSetSnapshot> per_thread() const {
-    std::vector<HistogramSetSnapshot> out;
-    const std::size_t n = used_slots();
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(slots_[i].snapshot());
-    return out;
-  }
-
   /// Zero every block; only meaningful while the system is quiescent.
   void reset() {
     const std::size_t n = used_slots();
@@ -353,7 +344,6 @@ class HistogramRegistry {
   }
   HistogramBlock& local() noexcept { return block_; }
   HistogramSetSnapshot aggregate() const { return {}; }
-  std::vector<HistogramSetSnapshot> per_thread() const { return {}; }
   void reset() {}
 
  private:

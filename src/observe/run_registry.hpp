@@ -1,7 +1,7 @@
 // Durable per-terminal run history.
 //
-// Every executed terminal (streams evaluate/evaluate_fused, the PowerList
-// reported/profiled executors) appends one RunRecord: the plan identity
+// Every executed terminal (streams evaluate/evaluate_fused, every
+// fork-join skeleton run) appends one RunRecord: the plan identity
 // (cache_key plus the DPS/drive verdicts rendered as strings), the
 // grain and where it came from, the process-wide counter delta across the
 // run, wall time, and the per-run leaf-latency p50/p90. The registry is the

@@ -131,7 +131,6 @@ class MetricsSampler {
   }
 
   SampleRing& ring() { return ring_; }
-  const SampleRing& ring() const { return ring_; }
 
   ~MetricsSampler() { stop(); }
 
@@ -181,10 +180,6 @@ class MetricsSampler {
   void stop() {}
   bool running() const { return false; }
   SampleRing& ring() {
-    static SampleRing r;
-    return r;
-  }
-  const SampleRing& ring() const {
     static SampleRing r;
     return r;
   }

@@ -12,31 +12,28 @@
 // record_virtual() with its own virtual clock, so real and simulated runs
 // share one event schema: real events carry pid 0, simulated pid 1.
 //
-// Export: write_chrome_json() emits the Trace Event Format consumed by
+// Export: chrome_json() renders the Trace Event Format consumed by
 // chrome://tracing and https://ui.perfetto.dev ("X" complete events, ts
 // and dur in microseconds).
 //
-// Lifecycle: the recorder owns an optional output path (PLS_TRACE_PATH
+// Lifecycle: the recorder's FileSink holds the output path (PLS_TRACE_PATH
 // env, or set_output_path()). flush() writes the current snapshot there,
 // and enable() registers a process-exit flush, so a bench binary that
 // exits early still leaves a valid chrome-trace file behind. TraceSession
-// is the scoped form: enable on construction, disable + flush on
-// destruction — including during stack unwinding, which the atexit hook
-// alone would miss.
+// is the scoped form (RecorderScope, observe/config.hpp): it also flushes
+// during stack unwinding, which the atexit hook alone would miss.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "observe/config.hpp"
+#include "observe/file_sink.hpp"
 
 namespace pls::observe {
 
@@ -87,10 +84,7 @@ class TraceRecorder {
   /// so an early exit() still writes the configured output file.
   void enable() {
     enabled_.store(true, std::memory_order_relaxed);
-    bool expected = false;
-    if (atexit_registered_.compare_exchange_strong(expected, true)) {
-      std::atexit([] { TraceRecorder::global().flush(); });
-    }
+    sink_.arm_at_exit([] { TraceRecorder::global().flush(); });
   }
   void disable() noexcept {
     enabled_.store(false, std::memory_order_relaxed);
@@ -101,28 +95,16 @@ class TraceRecorder {
 
   /// Destination for flush(); empty disables file output. Initialised
   /// from the PLS_TRACE_PATH environment variable.
-  void set_output_path(std::string path) {
-    std::lock_guard<std::mutex> lock(path_mutex_);
-    output_path_ = std::move(path);
-  }
-
-  std::string output_path() const {
-    std::lock_guard<std::mutex> lock(path_mutex_);
-    return output_path_;
-  }
+  void set_output_path(std::string path) { sink_.set_path(std::move(path)); }
+  std::string output_path() const { return sink_.path(); }
 
   /// Write the current snapshot to the configured output path. A no-op
-  /// when no path is set or nothing was recorded; returns whether a file
-  /// was written. Idempotent — flushing twice rewrites the same content.
+  /// when no path is set or nothing was recorded; returns whether the
+  /// whole file was written. Idempotent — flushing twice rewrites the
+  /// same content.
   bool flush() const {
-    const std::string path = output_path();
-    if (path.empty()) return false;
-    const auto evs = events();
-    if (evs.empty()) return false;
-    std::ofstream out(path);
-    if (!out) return false;
-    write_chrome_json(out);
-    return static_cast<bool>(out);
+    return sink_.write(
+        [this] { return events().empty() ? std::string() : chrome_json(); });
   }
 
   /// Record one real-time span (timestamps in now_ticks() units).
@@ -193,9 +175,10 @@ class TraceRecorder {
     return out;
   }
 
-  /// Emit the snapshot in Chrome Trace Event Format.
-  void write_chrome_json(std::ostream& os) const {
+  /// The snapshot in Chrome Trace Event Format.
+  std::string chrome_json() const {
     const auto evs = events();
+    std::ostringstream os;
     os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     bool first = true;
     for (const TraceEvent& e : evs) {
@@ -208,11 +191,6 @@ class TraceRecorder {
          << ",\"args\":{\"arg\":" << e.arg << "}}";
     }
     os << "]}";
-  }
-
-  std::string chrome_json() const {
-    std::ostringstream os;
-    write_chrome_json(os);
     return os.str();
   }
 
@@ -235,9 +213,7 @@ class TraceRecorder {
     std::uint32_t tid = 0;
   };
 
-  TraceRecorder() {
-    if (const char* env = std::getenv("PLS_TRACE_PATH")) output_path_ = env;
-  }
+  TraceRecorder() = default;
 
   ThreadBuffer& local_buffer() {
     thread_local ThreadBuffer* buf = nullptr;
@@ -252,34 +228,19 @@ class TraceRecorder {
   }
 
   std::atomic<bool> enabled_{false};
-  std::atomic<bool> atexit_registered_{false};
   mutable std::mutex registry_mutex_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  mutable std::mutex path_mutex_;
-  std::string output_path_;
+  FileSink sink_{"PLS_TRACE_PATH"};
 };
 
-/// Scoped tracing session: clears stale events and enables recording on
-/// construction, disables and flushes to the output path on destruction —
-/// also when the scope is left by an exception, so the trace file is valid
+/// Scoped tracing under the RecorderScope rule; its flush on exit also
+/// runs when an exception leaves the scope, so the trace file is valid
 /// even for a run that threw halfway. An explicit `path` overrides the
 /// recorder's configured destination for this and later sessions.
-class TraceSession {
+class TraceSession : RecorderScope<TraceRecorder> {
  public:
   explicit TraceSession(std::string path = {}) {
-    TraceRecorder& r = TraceRecorder::global();
-    if (!path.empty()) r.set_output_path(std::move(path));
-    r.clear();
-    r.enable();
-  }
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
-  ~TraceSession() {
-    TraceRecorder& r = TraceRecorder::global();
-    r.disable();
-    r.flush();
+    if (!path.empty()) TraceRecorder::global().set_output_path(std::move(path));
   }
 };
 
@@ -338,9 +299,6 @@ class TraceRecorder {
   std::string output_path() const { return {}; }
   bool flush() const noexcept { return false; }
   std::vector<TraceEvent> events() const { return {}; }
-  void write_chrome_json(std::ostream& os) const {
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-  }
   std::string chrome_json() const {
     return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
   }

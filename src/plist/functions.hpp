@@ -20,6 +20,7 @@
 #include "forkjoin/pool.hpp"
 #include "plist/plist_view.hpp"
 #include "powerlist/function.hpp"
+#include "streams/plan.hpp"
 #include "support/assert.hpp"
 
 namespace pls::plist {
@@ -101,15 +102,22 @@ R execute_sequential(const PListFunction<T, R, Ctx>& f,
   return detail::run_plist(nullptr, f, input, ctx, leaf_size, 0);
 }
 
+/// Parallel execution; like powerlist::execute_forkjoin it records its
+/// synthesized plan (with the root's arity) and appends one RunRecord.
 template <typename T, typename R, typename Ctx>
 R execute_forkjoin(forkjoin::ForkJoinPool& pool,
                    const PListFunction<T, R, Ctx>& f,
                    PListView<const T> input, Ctx ctx = Ctx{},
                    std::size_t leaf_size = 1, std::size_t fork_grain = 1) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
-  return pool.run([&] {
-    return detail::run_plist(&pool, f, input, ctx, leaf_size, fork_grain);
-  });
+  const auto arity = static_cast<unsigned>(f.arity(input.length()));
+  return streams::run_synthesized(
+      input.length(), leaf_size, pool.parallelism(), arity, [&] {
+        return pool.run([&] {
+          return detail::run_plist(&pool, f, input, ctx, leaf_size,
+                                   fork_grain);
+        });
+      });
 }
 
 // ---- example PList functions -----------------------------------------

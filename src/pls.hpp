@@ -187,32 +187,16 @@ struct config {
 /// common pool).
 class session {
  public:
+  /// config.observe opens a TraceSession and config.profile a
+  /// ProfileSession for the session's lifetime: each turns its recorder on
+  /// when it was off, and off again (the trace flushed to its output
+  /// path, PLS_TRACE_PATH) when the session ends.
   explicit session(const config& cfg) : cfg_(cfg) {
     if (cfg_.parallelism != 0) owned_pool_.emplace(cfg_.parallelism);
     counters_at_start_ = pool().counter_totals();
     runs_total_at_start_ = observe::RunRegistry::global().total();
-    if (cfg_.observe) {
-      tracing_ = !observe::TraceRecorder::global().enabled();
-      if (tracing_) observe::TraceRecorder::global().enable();
-    }
-    if (cfg_.profile) {
-      auto& r = observe::CriticalPathRecorder::global();
-      profiling_ = !r.enabled();
-      if (profiling_) {
-        r.clear();
-        r.enable();
-      }
-    }
-  }
-
-  /// Disables tracing/profiling again if this session turned them on, and
-  /// flushes the trace to its configured output path (PLS_TRACE_PATH).
-  ~session() {
-    if (tracing_) {
-      observe::TraceRecorder::global().disable();
-      observe::TraceRecorder::global().flush();
-    }
-    if (profiling_) observe::CriticalPathRecorder::global().disable();
+    if (cfg_.observe) trace_.emplace();
+    if (cfg_.profile) profile_.emplace();
   }
 
   session(const session&) = delete;
@@ -241,8 +225,8 @@ class session {
   }
 
   /// The plan behind the most recent terminal this thread ran — verdicts,
-  /// reasons, routing (streams::last_plan). PowerList executors record a
-  /// synthesized plan, so this works after session::execute_reported too.
+  /// reasons, routing (streams::last_plan). Fork-join skeleton runs record
+  /// a synthesized plan, so this covers session::execute too.
   const streams::ExecutionPlan& plan() const { return streams::last_plan(); }
 
   /// Human-readable dump of plan(): why the last run took the path it
@@ -256,31 +240,12 @@ class session {
   }
 
   /// Run a PowerFunction on the session pool; equivalent to
-  /// execute_forkjoin(pool(), f, input, ctx, grain).
+  /// execute_forkjoin(pool(), f, input, ctx, grain). The run appends one
+  /// record to runs(): its counter delta, wall time and plan.
   template <typename TV, typename R, typename Ctx>
   R execute(const powerlist::PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
             powerlist::PowerListView<TV> input, Ctx ctx = Ctx{}) {
     return powerlist::execute_forkjoin(pool(), f, input, ctx, grain_or(1));
-  }
-
-  /// Same, returning the unified ExecutionReport (shape + counter delta).
-  template <typename TV, typename R, typename Ctx>
-  powerlist::ExecutionReport<R> execute_reported(
-      const powerlist::PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
-      powerlist::PowerListView<TV> input, Ctx ctx = Ctx{}) {
-    return powerlist::execute_forkjoin_reported(pool(), f, input, ctx,
-                                                grain_or(1));
-  }
-
-  /// Same, with critical-path profiling: the report additionally carries
-  /// measured work/span/parallelism, per-phase attribution, wall time and
-  /// latency histograms (see execute_forkjoin_profiled).
-  template <typename TV, typename R, typename Ctx>
-  powerlist::ExecutionReport<R> execute_profiled(
-      const powerlist::PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
-      powerlist::PowerListView<TV> input, Ctx ctx = Ctx{}) {
-    return powerlist::execute_forkjoin_profiled(pool(), f, input, ctx,
-                                                grain_or(1));
   }
 
   /// Counter delta accumulated by this session's pool since the session
@@ -295,11 +260,11 @@ class session {
     return observe::TraceRecorder::global().chrome_json();
   }
 
-  /// Critical-path analysis of everything profiled so far in this session;
-  /// meaningful when config.profile was set (all zeros otherwise, and
-  /// always with PLS_OBSERVE=0).
+  /// Critical-path analysis of the trees profiled since this session
+  /// started (ProfileSession::stats()); all zeros unless config.profile
+  /// was set, and always with PLS_OBSERVE=0.
   observe::CriticalPathStats profile() const {
-    return observe::CriticalPathRecorder::global().analyze();
+    return profile_ ? profile_->stats() : observe::CriticalPathStats{};
   }
 
   /// Collapsed-stack (folded) flamegraph of the profiled split trees.
@@ -331,8 +296,8 @@ class session {
   std::optional<forkjoin::ForkJoinPool> owned_pool_;
   observe::CounterTotals counters_at_start_{};
   std::uint64_t runs_total_at_start_ = 0;
-  bool tracing_ = false;
-  bool profiling_ = false;
+  std::optional<observe::TraceSession> trace_;
+  std::optional<observe::ProfileSession> profile_;
 };
 
 /// The single entry point: configure, run, return the callable's result.

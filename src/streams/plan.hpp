@@ -15,7 +15,7 @@
 // its reason, the drive mode, the resolved grain, and the kernel
 // selection. explain() renders it for humans; bench JSON carries it as
 // plan_* fields; the last plan of the calling thread is kept for
-// ExecutionReport / pls::session::explain().
+// pls::session::explain(), and each run's RunRecord carries its identity.
 //
 // On top of the plan sits the first slice of adaptive execution (ROADMAP
 // item 5): a process-global PlanCache keyed by pipeline shape. Profiled
@@ -341,7 +341,8 @@ struct ExecutionPlan {
   KernelMode kernel = KernelMode::kScalarLoop;
   std::uint64_t cache_key = 0;  ///< PlanCache shape key (parallel plans)
   /// Parts asked of each split (Spliterator::try_split_n when above 2;
-  /// sources that refuse split in two). Only the multiway collect sets it.
+  /// sources that refuse split in two). Set by the multiway collect and
+  /// by PList fork-join runs (the root's arity).
   unsigned arity = 2;
 
   /// Human-readable dump (pls::session::explain()).
@@ -838,6 +839,9 @@ class RunScope {
 
   ~RunScope() {
     observe::RunRecord rec;
+    // Wall time first: the first ns_per_tick() below calibrates the tick
+    // clock for ~2 ms, which is not the run's time.
+    rec.wall_ms = observe::steady_now_ms() - start_ms_;
     rec.cache_key = plan_.cache_key;
     rec.terminal = terminal_name(plan_.terminal);
     rec.origin = origin_name(plan_.origin);
@@ -857,7 +861,6 @@ class RunScope {
     const double scale = observe::ns_per_tick();
     rec.leaf_p50_ns = leaf.quantile(0.5, scale);
     rec.leaf_p90_ns = leaf.quantile(0.9, scale);
-    rec.wall_ms = observe::steady_now_ms() - start_ms_;
     observe::RunRegistry::global().append(std::move(rec));
   }
 
@@ -894,6 +897,36 @@ class RunScope {
 };
 
 #endif  // PLS_OBSERVE
+
+/// The plan-and-record step of the skeleton executors (PowerFunction and
+/// PListFunction fork-join runs): records the synthesized plan of a run
+/// over `length` elements (the divide-and-conquer drive is fixed by the
+/// executor, so the DPS verdict reads kNotAStreamPipeline and the grain is
+/// the caller's leaf size) and runs `body` inside its RunScope, so every
+/// run appends exactly one RunRecord and session::explain() covers it.
+template <typename Body>
+auto run_synthesized(std::uint64_t length, std::uint64_t leaf_size,
+                     unsigned parallelism, unsigned arity, Body&& body) {
+  ExecutionPlan p;
+  p.origin = PlanOrigin::kSynthesized;
+  p.terminal = TerminalKind::kPowerFunction;
+  p.parallel = true;
+  p.parallelism = parallelism;
+  p.source_size = length;
+  p.sized = true;
+  p.subsized = true;
+  p.power_of_two = is_power_of_two(length);
+  p.dps_reason = PlanReason::kNotAStreamPipeline;
+  p.drive = DriveMode::kForkJoinTree;
+  p.grain = leaf_size;
+  p.grain_source = GrainSource::kExplicit;
+  p.arity = arity;
+  p.cache_key = plan_cache_key(TerminalKind::kPowerFunction, length,
+                               parallelism, 0, true, false);
+  record_plan(p);
+  RunScope scope(p);
+  return body();
+}
 
 /// Feed one profiled parallel run back into the PlanCache — called by
 /// the execution layer with the run's critical-path root (nullptr when

@@ -174,10 +174,14 @@ TEST(Failure, ProfiledRunThatThrowsLeavesRecorderDisabled) {
   const LeafThrower f;
   std::vector<int> data(256);
   std::iota(data.begin(), data.end(), 0);
-  EXPECT_THROW(pls::powerlist::execute_forkjoin_profiled(
-                   pool, f, pls::powerlist::view_of(std::as_const(data)), {},
-                   4),
-               Boom);
+  // A ProfileSession left by the exception turns the recorder off again.
+  EXPECT_THROW(
+      {
+        pls::observe::ProfileSession profile;
+        (void)pls::powerlist::execute_forkjoin(
+            pool, f, pls::powerlist::view_of(std::as_const(data)), {}, 4);
+      },
+      Boom);
   // A recorder left on would make every later run allocate CP nodes.
   EXPECT_FALSE(pls::observe::CriticalPathRecorder::global().enabled());
   pls::observe::CriticalPathRecorder::global().clear();

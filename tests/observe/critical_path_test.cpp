@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "observe/flamegraph.hpp"
+#include "observe/run_registry.hpp"
 #include "powerlist/algorithms/map_reduce.hpp"
 #include "powerlist/executors.hpp"
 #include "simmachine/costmodel.hpp"
@@ -168,12 +169,12 @@ TEST_F(CriticalPathTest, MeasuredSpanSanityAgainstSimulation) {
       std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
 
-  const auto report =
-      pls::powerlist::execute_forkjoin_profiled(pool, sum, view, {}, kLeaf);
-  ASSERT_EQ(report.result, static_cast<long>(kN) * (kN + 1) / 2);
-  ASSERT_FALSE(report.profile.empty());
+  const obs::ProfileSession profile;
+  ASSERT_EQ(pls::powerlist::execute_forkjoin(pool, sum, view, {}, kLeaf),
+            static_cast<long>(kN) * (kN + 1) / 2);
+  const auto p = profile.stats();
+  ASSERT_FALSE(p.empty());
 
-  const auto& p = report.profile;
   EXPECT_GT(p.work_ns, 0.0);
   EXPECT_GT(p.span_ns, 0.0);
   EXPECT_LE(p.span_ns, p.work_ns + 1.0);
@@ -198,8 +199,12 @@ TEST_F(CriticalPathTest, MeasuredSpanSanityAgainstSimulation) {
   EXPECT_GT(ratio, 1.0 / 200.0) << "measured span implausibly small";
   EXPECT_LT(ratio, 200.0) << "measured span implausibly large";
 
-  // The report's human-readable summary is populated for profiled runs.
-  const std::string summary = report.profile_summary(pool.parallelism());
+  // The human-readable summary is populated for profiled runs; the run's
+  // wall time comes from its RunRecord.
+  const auto runs = obs::RunRegistry::global().records();
+  ASSERT_FALSE(runs.empty());
+  const std::string summary =
+      p.profile_summary(runs.back().wall_ms * 1e6, pool.parallelism());
   EXPECT_NE(summary.find("work T1"), std::string::npos);
   EXPECT_NE(summary.find("parallelism"), std::string::npos);
   EXPECT_NE(summary.find("steal-idle"), std::string::npos);

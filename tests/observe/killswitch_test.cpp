@@ -40,6 +40,7 @@ static_assert(std::is_empty_v<pls::observe::HistogramBlock>);
 static_assert(std::is_empty_v<pls::observe::CpScope>);
 static_assert(std::is_empty_v<pls::observe::LatencyTimer>);
 static_assert(std::is_empty_v<pls::observe::TraceSession>);
+static_assert(std::is_empty_v<pls::observe::ProfileSession>);
 // The continuous-telemetry layer collapses the same way: registry,
 // sampler ring, run history and the RAII session all carry no state.
 static_assert(std::is_empty_v<pls::observe::MetricsRegistry>);
@@ -173,7 +174,7 @@ TEST(KillSwitch, TelemetryLayerIsInert) {
 
 TEST(KillSwitch, TotalsStillUsableForReporting) {
   // CounterTotals stays a real struct in both modes so reporting code
-  // (ExecutionReport, bench JSON) needs no #if.
+  // (RunRecord, bench JSON) needs no #if.
   CounterTotals a;
   a.steals = 2;
   CounterTotals b;

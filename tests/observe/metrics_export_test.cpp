@@ -202,8 +202,7 @@ TEST(MetricsExport, ExpositionGrammarAndCoverage) {
     const auto coeffs = coefficients(1 << 10);
     pls::powerlist::PolynomialFunction<double> vp;
     const auto view = pls::powerlist::view_of(coeffs);
-    const auto report = s.execute_profiled(vp, view, 0.9991);
-    (void)report;
+    (void)s.execute(vp, view, 0.9991);
     (void)stream_reduce(s, 1 << 12);
 
     const std::string text = obs::prometheus_text(s.metrics());
@@ -321,7 +320,7 @@ TEST(MetricsExport, RunLogOneRecordPerTerminalAndRecount) {
       const auto coeffs = coefficients(1 << 10);
       pls::powerlist::PolynomialFunction<double> vp;
       const auto view = pls::powerlist::view_of(coeffs);
-      (void)s.execute_profiled(vp, view, 0.9991);
+      (void)s.execute(vp, view, 0.9991);
 
       const auto runs = s.runs();
       ASSERT_EQ(runs.size(),
@@ -371,6 +370,19 @@ TEST(MetricsExport, RunLogOneRecordPerTerminalAndRecount) {
   EXPECT_EQ(last_key, std::to_string(expected_key));
   EXPECT_GE(sample_lines, 1u) << "teardown pushes at least one sample";
   std::remove(path.c_str());
+}
+
+TEST(MetricsExport, FlushReportsAWriteRefusedAtClose) {
+  // /dev/full accepts the open and the buffered write, then refuses the
+  // bytes with ENOSPC when the stream is flushed at close.
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::RunRegistry::global().append(obs::RunRecord{});
+  auto& log = obs::MetricsLog::global();
+  const std::string saved = log.output_path();
+  log.set_output_path("/dev/full");
+  EXPECT_FALSE(log.flush());
+  log.set_output_path(saved);
 }
 
 }  // namespace

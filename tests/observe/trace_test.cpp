@@ -266,6 +266,20 @@ TEST_F(TraceTest, FlushWithoutPathOrEventsIsANoOp) {
   }
 }
 
+TEST_F(TraceTest, FlushReportsAWriteRefusedAtClose) {
+  // /dev/full accepts the open and the buffered write, then refuses the
+  // bytes with ENOSPC when the stream is flushed at close.
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto& rec = TraceRecorder::global();
+  rec.enable();
+  { Span s(EventKind::kSplit, 1); }
+  rec.disable();
+  rec.set_output_path("/dev/full");
+  EXPECT_FALSE(rec.flush());
+  rec.set_output_path("");
+}
+
 TEST_F(TraceTest, SimulatorEmitsSameSchema) {
   if (!kEnabled) GTEST_SKIP() << "observability compiled out";
   using pls::simmachine::CostModel;

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -115,6 +117,8 @@ TEST(Facade, SkeletonExecutionThroughSession) {
 }
 
 TEST(Facade, ReportedExecutionFillsShapeAndCounters) {
+  // A session run's counter delta is its RunRecord's; its shape is the
+  // closed-form decomposition_shape.
   auto data = iota(1 << 10);
   pls::powerlist::ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
@@ -122,16 +126,112 @@ TEST(Facade, ReportedExecutionFillsShapeAndCounters) {
   cfg.parallelism = 2;
   cfg.grain = 64;
   pls::run(cfg, [&](pls::session& s) {
-    const auto report = s.execute_reported(sum, view);
-    EXPECT_EQ(report.result, (1L << 10) * ((1L << 10) + 1) / 2);
-    EXPECT_EQ(report.stats.basic_cases, 16u);  // 1024/64
-    EXPECT_EQ(report.stats.max_depth, 4u);
-    EXPECT_FALSE(report.simulated);
+    EXPECT_EQ(s.execute(sum, view), (1L << 10) * ((1L << 10) + 1) / 2);
+    const auto shape =
+        pls::powerlist::decomposition_shape(view.length(), s.grain_or(1));
+    EXPECT_EQ(shape.basic_cases, 16u);  // 1024/64
+    EXPECT_EQ(shape.max_depth, 4u);
     if (pls::observe::kEnabled) {
-      EXPECT_EQ(report.counters.splits, 15u);
-      EXPECT_EQ(report.counters.combines, 15u);
-      EXPECT_EQ(report.counters.leaf_chunks, 16u);
-      EXPECT_EQ(report.counters.elements_accumulated, 1u << 10);
+      const auto runs = s.runs();
+      EXPECT_EQ(runs.size(), 1u);
+      if (runs.empty()) return 0;
+      const auto& counters = runs.back().counters;
+      EXPECT_EQ(counters.splits, 15u);
+      EXPECT_EQ(counters.combines, 15u);
+      EXPECT_EQ(counters.leaf_chunks, 16u);
+      EXPECT_EQ(counters.elements_accumulated, 1u << 10);
+    }
+    return 0;
+  });
+}
+
+TEST(Facade, SessionExecuteIsOneRecordedRun) {
+  // A PowerList run replaces the stream terminal's plan as the session's
+  // last plan and appends exactly one record.
+  auto data = iota(1 << 10);
+  pls::powerlist::ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  pls::config cfg;
+  cfg.parallelism = 2;
+  cfg.grain = 16;
+  pls::run(cfg, [&](pls::session& s) {
+    (void)pls::streams::Stream<long>::of(data).parallel(s.stream_config())
+        .reduce(0L, std::plus<long>{});
+    EXPECT_NE(s.plan().terminal, pls::streams::TerminalKind::kPowerFunction);
+    const auto runs_before = s.runs().size();
+    (void)s.execute(sum, view);
+    EXPECT_EQ(s.plan().terminal, pls::streams::TerminalKind::kPowerFunction);
+    EXPECT_EQ(s.plan().grain, 16u);
+    EXPECT_NE(s.explain().find("power_function"), std::string::npos)
+        << s.explain();
+    if (pls::observe::kEnabled) {
+      const auto runs = s.runs();
+      EXPECT_EQ(runs_before, 1u);
+      EXPECT_EQ(runs.size(), 2u);
+      if (runs.size() != 2u) return 0;
+      EXPECT_STREQ(runs[1].terminal, "power_function");
+      EXPECT_EQ(runs[1].cache_key, s.plan().cache_key);
+    }
+    return 0;
+  });
+}
+
+TEST(Facade, PListForkJoinIsOneRecordedRun) {
+  const std::vector<int> data = [] {
+    std::vector<int> v(243);
+    std::iota(v.begin(), v.end(), 1);
+    return v;
+  }();
+  const auto view = pls::plist::PListView<const int>::over(data);
+  pls::plist::NWayReduce<int, std::plus<int>> sum{std::plus<int>{}, 3};
+  pls::config cfg;
+  cfg.parallelism = 2;
+  pls::run(cfg, [&](pls::session& s) {
+    EXPECT_EQ(pls::plist::execute_forkjoin(s.pool(), sum, view, {}, 9),
+              243 * 244 / 2);
+    EXPECT_EQ(s.plan().terminal, pls::streams::TerminalKind::kPowerFunction);
+    EXPECT_EQ(s.plan().arity, 3u);
+    EXPECT_NE(s.explain().find("arity 3"), std::string::npos) << s.explain();
+    if (pls::observe::kEnabled) {
+      const auto runs = s.runs();
+      EXPECT_EQ(runs.size(), 1u);
+      if (runs.empty()) return 0;
+      EXPECT_EQ(runs[0].cache_key, s.plan().cache_key);
+      EXPECT_EQ(runs[0].source_size, 243u);
+      EXPECT_EQ(runs[0].grain, 9u);
+    }
+    return 0;
+  });
+}
+
+TEST(Facade, ThrowingRunStillLeavesOneRecord) {
+  // The run's RunScope closes on unwind, so a PowerFunction whose leaf
+  // throws still appends exactly one record.
+  struct LeafThrows final : pls::powerlist::PowerFunction<long, long> {
+    long basic_case(pls::powerlist::PowerListView<const long> leaf,
+                    const pls::powerlist::NoContext&) const override {
+      if (leaf[0] == 129) throw std::runtime_error("leaf");
+      return leaf[0];
+    }
+    long combine(long&& l, long&& r, const pls::powerlist::NoContext&,
+                 std::size_t) const override {
+      return l + r;
+    }
+  } f;
+  auto data = iota(256);
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  pls::config cfg;
+  cfg.parallelism = 2;
+  cfg.grain = 16;
+  pls::run(cfg, [&](pls::session& s) {
+    EXPECT_THROW((void)s.execute(f, view), std::runtime_error);
+    EXPECT_EQ(s.plan().terminal, pls::streams::TerminalKind::kPowerFunction);
+    if (pls::observe::kEnabled) {
+      const auto runs = s.runs();
+      EXPECT_EQ(runs.size(), 1u);
+      if (!runs.empty()) {
+        EXPECT_STREQ(runs[0].terminal, "power_function");
+      }
     }
     return 0;
   });
@@ -155,9 +255,9 @@ TEST(Facade, SessionCountersDeltaAfterWork) {
 }
 
 TEST(Facade, ProfiledExecutionKeepsTheSessionProfile) {
-  // Inside a profiling session, execute_profiled adds its tree to the
-  // session's recorder: it neither drops the earlier trees nor turns
-  // profiling off for the runs after it.
+  // Inside a profiling session, an inner ProfileSession adds its tree to
+  // the session's recorder: it neither drops the earlier trees nor turns
+  // profiling off for the runs after it, and reports only its own run.
   if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
   auto& recorder = pls::observe::CriticalPathRecorder::global();
   ASSERT_FALSE(recorder.enabled());
@@ -170,17 +270,54 @@ TEST(Facade, ProfiledExecutionKeepsTheSessionProfile) {
   cfg.profile = true;
   pls::run(cfg, [&](pls::session& s) {
     (void)s.execute(sum, view);
-    const auto report = s.execute_profiled(sum, view);
+    pls::observe::CriticalPathStats inner;
+    {
+      pls::observe::ProfileSession profile;
+      (void)s.execute(sum, view);
+      inner = profile.stats();
+    }
     (void)s.execute(sum, view);
     EXPECT_TRUE(recorder.enabled());
     EXPECT_EQ(recorder.roots().size(), 3u);
-    // The report covers its own run (16 leaves of 64); the session's
+    // The inner scope covers its own run (16 leaves of 64); the session's
     // profile covers all three.
-    EXPECT_EQ(report.profile.leaves, 16u);
-    EXPECT_EQ(report.profile.elements, 1u << 10);
+    EXPECT_EQ(inner.leaves, 16u);
+    EXPECT_EQ(inner.elements, 1u << 10);
     const auto all = s.profile();
     EXPECT_EQ(all.leaves, 3u * 16u);
     EXPECT_EQ(all.elements, 3u << 10);
+    return 0;
+  });
+  EXPECT_FALSE(recorder.enabled());
+  recorder.clear();
+}
+
+TEST(Facade, NestedTraceSessionKeepsTheOuterTrace) {
+  // An inner TraceSession inside an observing session neither clears the
+  // outer's events nor turns tracing off when it closes.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  auto& recorder = pls::observe::TraceRecorder::global();
+  ASSERT_FALSE(recorder.enabled());
+  recorder.set_output_path("");
+  auto data = iota(1 << 8);
+  pls::powerlist::ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
+  const auto view = pls::powerlist::view_of(std::as_const(data));
+  pls::config cfg;
+  cfg.parallelism = 2;
+  cfg.grain = 16;
+  cfg.observe = true;
+  pls::run(cfg, [&](pls::session& s) {
+    (void)s.execute(sum, view);
+    const std::size_t outer = recorder.events().size();
+    EXPECT_GT(outer, 0u);
+    {
+      pls::observe::TraceSession inner;
+      EXPECT_TRUE(recorder.enabled());
+      EXPECT_GE(recorder.events().size(), outer);
+      (void)s.execute(sum, view);
+    }
+    EXPECT_TRUE(recorder.enabled());
+    EXPECT_GT(recorder.events().size(), outer);
     return 0;
   });
   EXPECT_FALSE(recorder.enabled());

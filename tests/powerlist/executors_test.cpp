@@ -1,6 +1,6 @@
 // The PowerFunction skeleton under all three executors: sequential,
-// fork-join, and simulated, plus the reporting fork-join run whose
-// closed-form shape is checked against the measured counters. One simple
+// fork-join, and simulated, plus the fork-join run's RunRecord, whose
+// counter delta is checked against the closed-form shape. One simple
 // function (sum via reduce shape) and one context-carrying function
 // exercise every hook; FFT and the polynomial pin the simulated schedule.
 #include "powerlist/executors.hpp"
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "observe/run_registry.hpp"
 #include "powerlist/algorithms/fft.hpp"
 #include "powerlist/algorithms/map_reduce.hpp"
 #include "powerlist/algorithms/polynomial.hpp"
@@ -19,8 +20,10 @@
 namespace {
 
 using pls::forkjoin::ForkJoinPool;
+using pls::observe::RunRecord;
+using pls::observe::RunRegistry;
+using pls::powerlist::decomposition_shape;
 using pls::powerlist::execute_forkjoin;
-using pls::powerlist::execute_forkjoin_reported;
 using pls::powerlist::execute_sequential;
 using pls::powerlist::execute_simulated;
 using pls::powerlist::PowerListView;
@@ -32,6 +35,18 @@ std::vector<long> iota(std::size_t n) {
   std::vector<long> v(n);
   std::iota(v.begin(), v.end(), 1);
   return v;
+}
+
+// One fork-join run and the RunRecord it appended (a blank record when
+// PLS_OBSERVE=0, where nothing is recorded).
+template <typename F, typename V>
+std::pair<long, RunRecord> recorded_run(ForkJoinPool& pool, const F& f,
+                                        V view, std::size_t leaf) {
+  const std::uint64_t before = RunRegistry::global().total();
+  const long result = execute_forkjoin(pool, f, view, {}, leaf);
+  const auto runs = RunRegistry::global().records_since(before);
+  EXPECT_EQ(runs.size(), pls::observe::kEnabled ? 1u : 0u);
+  return {result, runs.empty() ? RunRecord{} : runs.back()};
 }
 
 TEST(Executors, SequentialReduce) {
@@ -126,33 +141,35 @@ TEST(Executors, SimulatedSpeedupGrowsWithProcessors) {
 }
 
 TEST(Executors, InstrumentedCountsMatchTreeShape) {
-  // The reported shape is closed form; with observe on, the counters the
-  // walk bumps at every node measure the same tree independently.
+  // The shape is closed form; with observe on, the counters the walk
+  // bumps at every node measure the same tree independently, and the
+  // run's RunRecord carries their delta.
   ForkJoinPool pool(4);
   auto data = iota(256);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   // leaf 32 over 256: 8 leaves, 7 forks, depth 3.
-  const auto ex = execute_forkjoin_reported(pool, sum, view, {}, 32);
-  EXPECT_EQ(ex.result, 256 * 257 / 2);
-  EXPECT_EQ(ex.stats.basic_cases, 8u);
-  EXPECT_EQ(ex.stats.combines, 7u);
-  EXPECT_EQ(ex.stats.descends, 7u);
-  EXPECT_EQ(ex.stats.max_depth, 3u);
-  EXPECT_EQ(ex.stats.min_leaf_length, 32u);
-  EXPECT_EQ(ex.stats.max_leaf_length, 32u);
+  const auto shape = decomposition_shape(data.size(), 32);
+  EXPECT_EQ(shape.basic_cases, 8u);
+  EXPECT_EQ(shape.combines, 7u);
+  EXPECT_EQ(shape.descends, 7u);
+  EXPECT_EQ(shape.max_depth, 3u);
+  EXPECT_EQ(shape.min_leaf_length, 32u);
+  EXPECT_EQ(shape.max_leaf_length, 32u);
+  const auto [result, run] = recorded_run(pool, sum, view, 32);
+  EXPECT_EQ(result, 256 * 257 / 2);
   if (pls::observe::kEnabled) {
-    EXPECT_EQ(ex.counters.leaf_chunks, ex.stats.basic_cases);
-    EXPECT_EQ(ex.counters.forks, ex.stats.descends);
-    EXPECT_EQ(ex.counters.combines, ex.stats.combines);
+    EXPECT_EQ(run.counters.leaf_chunks, shape.basic_cases);
+    EXPECT_EQ(run.counters.forks, shape.descends);
+    EXPECT_EQ(run.counters.combines, shape.combines);
     // The sequential executor runs the same walk, so it counts the same
     // tree on the calling thread's block (no forks: nothing is pushed).
     const auto before = pls::observe::aggregate_counters();
-    EXPECT_EQ(execute_sequential(sum, view, {}, 32), ex.result);
+    EXPECT_EQ(execute_sequential(sum, view, {}, 32), result);
     const auto seq = pls::observe::aggregate_counters() - before;
-    EXPECT_EQ(seq.leaf_chunks, ex.stats.basic_cases);
-    EXPECT_EQ(seq.splits, ex.stats.descends);
-    EXPECT_EQ(seq.combines, ex.stats.combines);
+    EXPECT_EQ(seq.leaf_chunks, shape.basic_cases);
+    EXPECT_EQ(seq.splits, shape.descends);
+    EXPECT_EQ(seq.combines, shape.combines);
     EXPECT_EQ(seq.forks, 0u);
   }
 }
@@ -162,15 +179,16 @@ TEST(Executors, InstrumentedSingleLeaf) {
   auto data = iota(64);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
-  const auto ex = execute_forkjoin_reported(pool, sum, view, {}, 64);
-  EXPECT_EQ(ex.result, 64 * 65 / 2);
-  EXPECT_EQ(ex.stats.basic_cases, 1u);
-  EXPECT_EQ(ex.stats.combines, 0u);
-  EXPECT_EQ(ex.stats.max_depth, 0u);
+  const auto shape = decomposition_shape(data.size(), 64);
+  EXPECT_EQ(shape.basic_cases, 1u);
+  EXPECT_EQ(shape.combines, 0u);
+  EXPECT_EQ(shape.max_depth, 0u);
+  const auto [result, run] = recorded_run(pool, sum, view, 64);
+  EXPECT_EQ(result, 64 * 65 / 2);
   if (pls::observe::kEnabled) {
-    EXPECT_EQ(ex.counters.leaf_chunks, 1u);
-    EXPECT_EQ(ex.counters.forks, 0u);
-    EXPECT_EQ(ex.counters.combines, 0u);
+    EXPECT_EQ(run.counters.leaf_chunks, 1u);
+    EXPECT_EQ(run.counters.forks, 0u);
+    EXPECT_EQ(run.counters.combines, 0u);
   }
 }
 
@@ -183,37 +201,40 @@ TEST(Executors, InstrumentedUniformLeafDepths) {
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   for (std::size_t leaf : {3u, 5u, 100u}) {  // non-power-of-two thresholds
-    const auto ex = execute_forkjoin_reported(pool, sum, view, {}, leaf);
-    EXPECT_EQ(ex.stats.min_leaf_length, ex.stats.max_leaf_length)
+    const auto shape = decomposition_shape(data.size(), leaf);
+    EXPECT_EQ(shape.min_leaf_length, shape.max_leaf_length)
         << "leaf=" << leaf;
-    EXPECT_LE(ex.stats.max_leaf_length, leaf) << "leaf=" << leaf;
-    EXPECT_EQ(ex.stats.basic_cases * ex.stats.max_leaf_length, data.size())
+    EXPECT_LE(shape.max_leaf_length, leaf) << "leaf=" << leaf;
+    EXPECT_EQ(shape.basic_cases * shape.max_leaf_length, data.size())
         << "leaf=" << leaf;
+    const auto run = recorded_run(pool, sum, view, leaf).second;
     if (pls::observe::kEnabled) {
-      EXPECT_EQ(ex.counters.leaf_chunks, ex.stats.basic_cases)
+      EXPECT_EQ(run.counters.leaf_chunks, shape.basic_cases)
           << "leaf=" << leaf;
-      EXPECT_EQ(ex.counters.elements_accumulated, data.size())
+      EXPECT_EQ(run.counters.elements_accumulated, data.size())
           << "leaf=" << leaf;
     }
   }
 }
 
 TEST(Executors, UnifiedReportFromSimulatedRun) {
-  // One ExecutionReport now serves both the real and simmachine paths:
-  // the simulated run carries the decomposition shape alongside the
-  // schedule.
+  // The simulated run schedules the same closed-form tree the real
+  // executors decompose into.
   auto data = iota(256);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
   CostModel m;
   m.ns_per_op = 2.0;
-  const pls::powerlist::ExecutionReport<long> ex =
-      execute_simulated(Simulator(m, 8), sum, view, {}, 4);
-  EXPECT_TRUE(ex.simulated);
-  EXPECT_EQ(ex.stats.basic_cases, 64u);  // 256 / 4
-  EXPECT_EQ(ex.stats.descends, 63u);
-  EXPECT_EQ(ex.stats.max_depth, 6u);
-  EXPECT_EQ(ex.stats.min_leaf_length, 4u);
+  const auto ex = execute_simulated(Simulator(m, 8), sum, view, {}, 4);
+  EXPECT_EQ(ex.result, 256 * 257 / 2);
+  const auto shape = decomposition_shape(view.length(), 4);
+  EXPECT_EQ(shape.basic_cases, 64u);  // 256 / 4
+  EXPECT_EQ(shape.descends, 63u);
+  EXPECT_EQ(shape.max_depth, 6u);
+  EXPECT_EQ(shape.min_leaf_length, 4u);
+  // 64 leaves of cost 4 ops + 63 forks: pure work = 64*4 + 63*1 ops.
+  EXPECT_DOUBLE_EQ(ex.sim.pure_work_ns,
+                   (shape.basic_cases * 4 + shape.descends) * 2.0);
 }
 
 TEST(Executors, ForkJoinReportedMatchesSequential) {
@@ -221,28 +242,34 @@ TEST(Executors, ForkJoinReportedMatchesSequential) {
   auto data = iota(1024);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
-  const auto report =
-      pls::powerlist::execute_forkjoin_reported(pool, sum, view, {}, 16);
-  EXPECT_EQ(report.result, execute_sequential(sum, view, {}, 16));
-  EXPECT_FALSE(report.simulated);
-  EXPECT_EQ(report.stats.basic_cases, 64u);
-  EXPECT_EQ(report.stats.descends, 63u);
-  EXPECT_EQ(report.stats.combines, 63u);
-  EXPECT_EQ(report.stats.max_depth, 6u);
-  EXPECT_EQ(report.stats.min_leaf_length, 16u);
-  EXPECT_EQ(report.stats.max_leaf_length, 16u);
+  const auto [result, run] = recorded_run(pool, sum, view, 16);
+  EXPECT_EQ(result, execute_sequential(sum, view, {}, 16));
+  const auto shape = decomposition_shape(data.size(), 16);
+  EXPECT_EQ(shape.basic_cases, 64u);
+  EXPECT_EQ(shape.descends, 63u);
+  EXPECT_EQ(shape.combines, 63u);
+  EXPECT_EQ(shape.max_depth, 6u);
+  EXPECT_EQ(shape.min_leaf_length, 16u);
+  EXPECT_EQ(shape.max_leaf_length, 16u);
   if (pls::observe::kEnabled) {
-    // The counter delta sees the run's decomposition: 64 leaves, 63 forks.
-    EXPECT_EQ(report.counters.leaf_chunks, 64u);
-    EXPECT_EQ(report.counters.forks, 63u);
-    EXPECT_EQ(report.counters.elements_accumulated, 1024u);
+    // The record names the synthesized plan and sees the run's
+    // decomposition: 64 leaves, 63 forks.
+    EXPECT_STREQ(run.terminal, "power_function");
+    EXPECT_STREQ(run.origin, "synthesized");
+    EXPECT_EQ(run.source_size, 1024u);
+    EXPECT_EQ(run.grain, 16u);
+    EXPECT_EQ(run.parallelism, 4u);
+    EXPECT_EQ(run.counters.leaf_chunks, 64u);
+    EXPECT_EQ(run.counters.forks, 63u);
+    EXPECT_EQ(run.counters.elements_accumulated, 1024u);
   }
 }
 
 TEST(Executors, ForkJoinReportedCountsStayExactAcrossThreadChurn) {
   // More worker threads than the counter registry has slots register over
   // the test, one 4-worker pool at a time: exited workers' slots are
-  // recycled, so every pool's delta still counts each leaf once.
+  // recycled, so every pool's own delta and every run record still count
+  // each leaf once.
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   auto data = iota(256);
   const auto view = pls::powerlist::view_of(std::as_const(data));
@@ -251,30 +278,46 @@ TEST(Executors, ForkJoinReportedCountsStayExactAcrossThreadChurn) {
       1100 / kWorkers + 1;  // > 1100 registrations > kMaxSlots = 1024
   for (std::size_t i = 0; i < pools; ++i) {
     ForkJoinPool pool(kWorkers);
-    const auto report = execute_forkjoin_reported(pool, sum, view, {}, 16);
-    ASSERT_EQ(report.result, 256L * 257L / 2L);
+    const auto pool_before = pool.counter_totals();
+    const auto [result, run] = recorded_run(pool, sum, view, 16);
+    const auto pool_delta = pool.counter_totals() - pool_before;
+    ASSERT_EQ(result, 256L * 257L / 2L);
     if (pls::observe::kEnabled) {
-      ASSERT_EQ(report.counters.leaf_chunks, 256u / 16u) << "pool " << i;
-      ASSERT_EQ(report.counters.elements_accumulated, 256u) << "pool " << i;
+      ASSERT_EQ(pool_delta.leaf_chunks, 256u / 16u) << "pool " << i;
+      ASSERT_EQ(pool_delta.elements_accumulated, 256u) << "pool " << i;
+      ASSERT_EQ(run.counters.leaf_chunks, 256u / 16u) << "pool " << i;
+      ASSERT_EQ(run.counters.elements_accumulated, 256u) << "pool " << i;
     }
   }
 }
 
-TEST(Executors, ExecutionReportUnifiesInstrumentedAndSimulatedRuns) {
+TEST(Executors, ForkJoinAndSimulatedRunsAgree) {
   ForkJoinPool pool(2);
   auto data = iota(64);
   ReduceFunction<long, std::plus<long>> sum{std::plus<long>{}};
   const auto view = pls::powerlist::view_of(std::as_const(data));
-  const pls::powerlist::ExecutionReport<long> a =
-      execute_forkjoin_reported(pool, sum, view, {}, 8);
-  const pls::powerlist::ExecutionReport<long> b =
+  const auto [result, run] = recorded_run(pool, sum, view, 8);
+  const auto sim =
       execute_simulated(Simulator(CostModel{}, 2), sum, view, {}, 8);
-  EXPECT_EQ(a.result, b.result);
-  EXPECT_FALSE(a.simulated);
-  EXPECT_TRUE(b.simulated);
-  EXPECT_EQ(a.stats.basic_cases, 8u);
-  EXPECT_EQ(b.stats.basic_cases, 8u);
-  EXPECT_GT(b.sim.makespan_ns, 0.0);
+  EXPECT_EQ(result, sim.result);
+  EXPECT_GT(sim.sim.makespan_ns, 0.0);
+  EXPECT_EQ(decomposition_shape(data.size(), 8).basic_cases, 8u);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(run.counters.leaf_chunks, 8u);
+  }
+}
+
+TEST(Executors, RunRecordWallTimeExcludesClockCalibration) {
+  // The first record of a process calibrates the tick clock (a 2 ms busy
+  // wait in observe::ns_per_tick()); that wait is not the run's time, and
+  // an empty run scope takes microseconds. Where an earlier test in the
+  // same process already calibrated the clock, this holds trivially.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const std::uint64_t before = RunRegistry::global().total();
+  { pls::streams::RunScope scope(pls::streams::ExecutionPlan{}); }
+  const auto runs = RunRegistry::global().records_since(before);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_LT(runs[0].wall_ms, 1.9);
 }
 
 struct PinnedSim {
