@@ -184,10 +184,6 @@ struct HistogramSetSnapshot {
   const HistogramSnapshot& of(Metric m) const noexcept {
     return metric[static_cast<std::size_t>(m)];
   }
-  HistogramSetSnapshot& operator+=(const HistogramSetSnapshot& o) noexcept {
-    for (std::size_t i = 0; i < kMetricCount; ++i) metric[i] += o.metric[i];
-    return *this;
-  }
 };
 
 #if PLS_OBSERVE
@@ -240,14 +236,6 @@ struct alignas(kCacheLineSize) HistogramBlock {
     metric[static_cast<std::size_t>(m)].record(v);
   }
 
-  HistogramSetSnapshot snapshot() const noexcept {
-    HistogramSetSnapshot s;
-    for (std::size_t i = 0; i < kMetricCount; ++i) {
-      s.metric[i] = metric[i].snapshot();
-    }
-    return s;
-  }
-
   void reset() noexcept {
     for (auto& h : metric) h.reset();
   }
@@ -270,10 +258,22 @@ class HistogramRegistry {
     return *tls_block_;
   }
 
+  /// Metric `m`'s histogram summed over every slot (one metric read per
+  /// slot, not the whole block).
+  HistogramSnapshot aggregate(Metric m) const {
+    HistogramSnapshot s;
+    const std::size_t n = used_slots();
+    for (std::size_t i = 0; i < n; ++i) {
+      s += slots_[i].metric[static_cast<std::size_t>(m)].snapshot();
+    }
+    return s;
+  }
+
   HistogramSetSnapshot aggregate() const {
     HistogramSetSnapshot s;
-    const std::size_t n = used_slots();
-    for (std::size_t i = 0; i < n; ++i) s += slots_[i].snapshot();
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      s.metric[i] = aggregate(static_cast<Metric>(i));
+    }
     return s;
   }
 
@@ -331,7 +331,6 @@ class Histogram {
 
 struct HistogramBlock {
   void record(Metric, std::uint64_t) noexcept {}
-  HistogramSetSnapshot snapshot() const noexcept { return {}; }
   void reset() noexcept {}
 };
 
@@ -343,6 +342,7 @@ class HistogramRegistry {
     return r;
   }
   HistogramBlock& local() noexcept { return block_; }
+  HistogramSnapshot aggregate(Metric) const { return {}; }
   HistogramSetSnapshot aggregate() const { return {}; }
   void reset() {}
 

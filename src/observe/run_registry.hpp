@@ -1,6 +1,6 @@
 // Durable per-terminal run history.
 //
-// Every executed terminal (streams evaluate/evaluate_fused, every
+// Every executed terminal (streams evaluate, every
 // fork-join skeleton run) appends one RunRecord: the plan identity
 // (cache_key plus the DPS/drive verdicts rendered as strings), the
 // grain and where it came from, the process-wide counter delta across the

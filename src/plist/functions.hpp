@@ -63,23 +63,27 @@ class PListFunction {
 
 namespace detail {
 
+/// The n-way split-tree walk, instrumented per node like the PowerList
+/// walk (streams::observed_leaf / observed_combine).
 template <typename T, typename R, typename Ctx>
 R run_plist(forkjoin::ForkJoinPool* pool, const PListFunction<T, R, Ctx>& f,
             PListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
-            std::size_t fork_grain) {
+            std::size_t fork_grain, unsigned depth) {
   const std::size_t n = f.arity(input.length());
   if (input.length() <= leaf_size || n < 2 || !input.divisible_by(n) ||
       input.length() / n == 0 || input.length() == 1) {
-    return f.basic_case(input, ctx);
+    return streams::observed_leaf(input.length(), nullptr,
+                                  [&] { return f.basic_case(input, ctx); });
   }
   const auto parts = f.decomposition() == NWayOp::kTie ? input.tie_n(n)
                                                        : input.zip_n(n);
   const auto contexts = f.descend_n(ctx, input.length(), n);
   PLS_CHECK(contexts.size() == n, "descend_n must return arity contexts");
+  observe::local_counters().on_split(depth);
   std::vector<std::optional<R>> results(n);
   const auto run_part = [&](std::size_t k) {
-    results[k].emplace(
-        run_plist(pool, f, parts[k], contexts[k], leaf_size, fork_grain));
+    results[k].emplace(run_plist(pool, f, parts[k], contexts[k], leaf_size,
+                                 fork_grain, depth + 1));
   };
   if (pool != nullptr && input.length() > fork_grain) {
     forkjoin::detail_for(*pool, std::size_t{0}, n, std::size_t{1}, run_part);
@@ -89,7 +93,9 @@ R run_plist(forkjoin::ForkJoinPool* pool, const PListFunction<T, R, Ctx>& f,
   std::vector<R> collected;
   collected.reserve(n);
   for (auto& r : results) collected.push_back(std::move(*r));
-  return f.combine_n(std::move(collected), ctx, input.length());
+  return streams::observed_combine(depth, nullptr, [&] {
+    return f.combine_n(std::move(collected), ctx, input.length());
+  });
 }
 
 }  // namespace detail
@@ -99,7 +105,7 @@ R execute_sequential(const PListFunction<T, R, Ctx>& f,
                      PListView<const T> input, Ctx ctx = Ctx{},
                      std::size_t leaf_size = 1) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
-  return detail::run_plist(nullptr, f, input, ctx, leaf_size, 0);
+  return detail::run_plist(nullptr, f, input, ctx, leaf_size, 0, 0);
 }
 
 /// Parallel execution; like powerlist::execute_forkjoin it records its
@@ -115,7 +121,7 @@ R execute_forkjoin(forkjoin::ForkJoinPool& pool,
       input.length(), leaf_size, pool.parallelism(), arity, [&] {
         return pool.run([&] {
           return detail::run_plist(&pool, f, input, ctx, leaf_size,
-                                   fork_grain);
+                                   fork_grain, 0);
         });
       });
 }

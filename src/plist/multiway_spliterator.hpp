@@ -126,11 +126,10 @@ typename C::result_type evaluate_collect_multiway(
     const streams::ExecutionConfig& cfg = {}) {
   PLS_CHECK(arity >= 2, "multiway evaluation needs arity >= 2");
   PLS_CHECK(sp != nullptr, "multiway evaluation requires a source");
-  auto fused = streams::fuse_source(sp);
-  return streams::evaluate_fused<T>(*fused, streams::terminals::collect(c),
-                                    parallel, cfg,
-                                    streams::PlanOrigin::kDynamic,
-                                    static_cast<unsigned>(arity));
+  auto fused = streams::fuse_source(std::move(sp));
+  return streams::evaluate<T>(*fused, streams::terminals::collect(c),
+                              parallel, cfg, streams::PlanOrigin::kDynamic,
+                              static_cast<unsigned>(arity));
 }
 
 }  // namespace pls::plist

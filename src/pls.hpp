@@ -115,7 +115,6 @@ using streams::StaticPipeline;
 using streams::Stream;
 
 using streams::evaluate;
-using streams::evaluate_fused;
 using streams::stream_support::from_spliterator;
 
 /// Stage-op factories for the typed static pipeline:

@@ -29,8 +29,6 @@
 #include "forkjoin/pool.hpp"
 #include "observe/counters.hpp"
 #include "observe/critical_path.hpp"
-#include "observe/histogram.hpp"
-#include "observe/trace.hpp"
 #include "powerlist/function.hpp"
 #include "powerlist/view.hpp"
 #include "simmachine/scheduler.hpp"
@@ -45,19 +43,15 @@ namespace detail {
 /// The split-tree walk. With `pool == nullptr` both halves run inline,
 /// left first; otherwise they run through `pool->invoke_two`. Spans,
 /// latency timers, counters and critical-path phases are recorded on both
-/// paths (all inert under PLS_OBSERVE=0; `cp == nullptr` disables the
-/// phases).
+/// paths (streams::observed_leaf / observed_combine; `cp == nullptr`
+/// disables the phases).
 template <typename T, typename R, typename Ctx>
 R run(forkjoin::ForkJoinPool* pool, const PowerFunction<T, R, Ctx>& f,
       PowerListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
       unsigned depth, observe::CpNode* cp) {
   if (input.length() <= leaf_size) {
-    observe::Span span(observe::EventKind::kAccumulate, input.length());
-    observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-    observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-    observe::cp_add_elements(cp, input.length());
-    observe::local_counters().on_leaf(input.length());
-    return f.basic_case(input, ctx);
+    return streams::observed_leaf(input.length(), cp,
+                                  [&] { return f.basic_case(input, ctx); });
   }
   const std::uint64_t split_start = cp != nullptr ? observe::now_ticks() : 0;
   const auto [left_view, right_view] = input.split(f.decomposition());
@@ -82,11 +76,10 @@ R run(forkjoin::ForkJoinPool* pool, const PowerFunction<T, R, Ctx>& f,
     run_left();
     run_right();
   }
-  observe::Span span(observe::EventKind::kCombine, depth);
-  observe::CpScope phase(cp, observe::CpPhase::kCombine);
-  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-  observe::local_counters().on_combine();
-  return f.combine(std::move(*left), std::move(*right), ctx, input.length());
+  return streams::observed_combine(depth, cp, [&] {
+    return f.combine(std::move(*left), std::move(*right), ctx,
+                     input.length());
+  });
 }
 
 inline std::size_t checked_leaf_size(std::size_t leaf_size) {

@@ -268,8 +268,7 @@ class ServiceSession final : public SessionBase {
     PLS_CHECK(max_batch_ > 0, "micro-batch size must be > 0");
     auto batch_source = std::make_unique<BatchSpliterator<In>>();
     source_ = batch_source.get();
-    std::unique_ptr<streams::Spliterator<In>> sp = std::move(batch_source);
-    fused_ = streams::fuse_source<In>(sp);
+    fused_ = streams::fuse_source<In>(std::move(batch_source));
     if constexpr (sizeof...(Ops) > 0) {
       fused_->append_stage(
           std::make_shared<streams::StaticChainStage<In, Ops...>>(

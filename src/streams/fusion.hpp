@@ -1,29 +1,27 @@
-// fuse(): strip a wrapper-spliterator pipeline into a FusedPipeline —
-// the owned source spliterator plus the ordered stage chain — so terminal
-// evaluation can compose one Sink chain per leaf and run a single tight
-// push loop (docs/execution.md, "Pipeline fusion").
+// Pipeline fusion: a Stream IS a FusedPipeline — its source spliterator
+// plus the ordered chain of StageNode descriptors its intermediate ops
+// appended — so a terminal composes one Sink chain per leaf and runs a
+// single tight push loop (docs/execution.md, "Pipeline fusion"), the way
+// Java's AbstractPipeline composes opWrapSink.
 //
-// The stream still *builds* the wrapper chain (splitting, characteristics
-// and introspection are unchanged); fusion happens once, at terminal
-// evaluation, by walking the wrappers outermost-in through the
-// FusableStage mixin. Each fusable wrapper contributes an immutable
-// StageNode descriptor and hands over its upstream. The walk stops at the
-// first layer that is not a FusableStage (a concat, an iterate tail, a
-// drop_while, any plain source) or whose strip refuses (a half-consumed
-// flat_map); that layer becomes the fused pipeline's source, and
-// FusedPipelineImpl is the pull-to-push adapter that drives it. Fusion
-// therefore never fails: every terminal runs one sink chain per leaf.
-// sorted is special: it materialises its buffer and restarts the fusion
-// walk on it as a fresh windowed array source, so everything *downstream*
-// of the buffer point still fuses.
+// Each StageNode states its op's facts once: the sink it wraps around a
+// downstream, whether it cancels (limit/take_while) or carries
+// traversal-wide state (distinct/drop_while), whether it maps 1:1, and
+// what it does to the characteristics and size estimate of the elements
+// passing through — Stream::characteristics() and estimate_size() fold
+// those over the chain.
 //
 // Splitting a FusedPipeline splits the source and shares the stage chain,
-// so the parallel tree walks fork fused leaves exactly where they forked
-// wrapper leaves. Chains containing a cancelling stage (limit/take_while)
-// refuse to split — their wrappers did too — and always run the
-// element-mode driver, preserving short-circuit consumption depth.
-// Stateful chains (distinct) also refuse to split, but keep the chunked
-// transport within their single leaf.
+// so the parallel tree walks fork fused leaves. Chains containing a
+// cancelling stage refuse to split and always run the element-mode
+// driver, preserving short-circuit consumption depth. Stateful chains
+// also refuse to split, but keep the chunked transport within their
+// single leaf.
+//
+// Where a Spliterator<T> view of a pipeline is still needed (concat's
+// parts, sorted's upstream), into_spliterator() hands back a stage-free
+// pipeline's own source and wraps any other in PipelineSpliterator, the
+// one pull adapter (Java's WrappingSpliterator).
 #pragma once
 
 #include <cstdint>
@@ -41,10 +39,10 @@
 namespace pls::streams {
 
 /// Immutable, type-erased descriptor of one intermediate operation. The
-/// concrete templates below carry the operator (shared with the wrapper
-/// spliterators) and know how to wrap a downstream sink; the type-erased
-/// face is what FusedPipeline stores and what chain assembly walks —
-/// one virtual wrap_sink per stage per leaf, never per element.
+/// concrete templates below carry the shared operator and know how to
+/// wrap a downstream sink; the type-erased face is what FusedPipeline
+/// stores and what chain assembly walks — one virtual wrap_sink per stage
+/// per leaf, never per element.
 class StageNode {
  public:
   virtual ~StageNode() = default;
@@ -63,29 +61,32 @@ class StageNode {
   virtual bool cancels() const noexcept { return false; }
 
   /// True for stages whose sink carries traversal-wide state (distinct's
-  /// seen-set): the chain must be driven by exactly one leaf — split
-  /// products would each dedup against their own empty set — but may
-  /// still use the chunked transport.
+  /// seen-set, drop_while's prefix flag): the chain must be driven by
+  /// exactly one leaf — split products would each start from fresh state
+  /// — but may still use the chunked transport.
   virtual bool stateful() const noexcept { return false; }
 
   /// True when the stage maps elements 1:1 (map / peek) — the property
   /// that keeps destination windows meaningful through the chain.
   virtual bool one_to_one() const noexcept { return true; }
 
-  /// How the stage transforms a known upstream element count; returns
-  /// kUnknownSinkSize when the result count cannot be known (filter,
-  /// take_while). Mirrors what the wrapper reported through kSized /
-  /// estimate_size, so fused leaves feed the observe counters the same
-  /// element totals the wrapper leaves did.
-  virtual std::uint64_t transform_count(std::uint64_t count) const noexcept {
-    return count;
+  /// The characteristics of this stage's output, given its input's.
+  virtual Characteristics characteristics(
+      Characteristics upstream) const noexcept {
+    return upstream;
+  }
+
+  /// The estimated size of this stage's output, given its input's; exact
+  /// whenever characteristics() keeps kSized.
+  virtual std::uint64_t estimate_size(std::uint64_t upstream) const noexcept {
+    return upstream;
   }
 };
 
-/// A stripped pipeline: the source spliterator (of a hidden element type)
-/// plus the stage chain, ready to drive sink chains. Output element type
-/// is stages.back().output_type() — verified against the terminal's T by
-/// fuse_pipeline, which is the only way these are made.
+/// A source spliterator (of a hidden element type) plus the stage chain,
+/// ready to drive sink chains. Output element type is
+/// stages.back().output_type(); evaluate() and PipelineSpliterator check
+/// it against the element type they read.
 class FusedPipeline {
  public:
   virtual ~FusedPipeline() = default;
@@ -93,15 +94,19 @@ class FusedPipeline {
   /// Remaining source elements (exact when the source is SIZED).
   virtual std::uint64_t estimate_size() const = 0;
 
+  virtual Characteristics source_characteristics() const = 0;
+
   /// Whether the source reports all of `wanted`'s characteristics.
-  virtual bool source_has(Characteristics wanted) const = 0;
+  bool source_has(Characteristics wanted) const {
+    return has_characteristics(source_characteristics(), wanted);
+  }
 
   /// The source's destination window, if it names one (split products
   /// inherit it from their source).
   virtual std::optional<OutputWindow> source_window() const = 0;
 
   /// Split off a prefix pipeline sharing this stage chain, or nullptr
-  /// (always nullptr for cancelling chains).
+  /// (always nullptr for cancelling and stateful chains).
   virtual std::unique_ptr<FusedPipeline> try_split() = 0;
 
   /// Split off n-1 prefix pipelines (encounter order, this keeps the last
@@ -120,10 +125,16 @@ class FusedPipeline {
   /// cancellation signal lives in the terminal sink itself.
   virtual void drive_short_circuit(SinkControl& terminal) = 0;
 
+  /// Push the next source element through the chain into `terminal`,
+  /// which must be the same sink on every call — the pull adapter's
+  /// fillBuffer step. The first call begins the chain; once the source is
+  /// exhausted or the chain cancels, ends it and returns false.
+  virtual bool drive_step(SinkControl& terminal) = 0;
+
   virtual const std::type_info& output_type() const noexcept = 0;
 
-  /// Append the next-outer stage (fusion walks outermost-in, so stages
-  /// arrive source-side first). Checks the element-type seam.
+  /// Append the next stage of the chain (source side first). Checks the
+  /// element-type seam.
   virtual void append_stage(std::shared_ptr<const StageNode> stage) = 0;
 
   /// Re-arm the chain for another drive. Batch terminals drive a pipeline
@@ -141,21 +152,30 @@ class FusedPipeline {
   bool one_to_one() const noexcept { return one_to_one_; }
   bool stateful() const noexcept { return stateful_; }
 
-  /// Number of stripped stages in the chain (the planner's stage summary).
+  /// Number of stages in the chain (the planner's stage summary).
   std::size_t stage_count() const noexcept { return stages().size(); }
 
-  /// The element count a leaf reports to the observe counters: the
-  /// source size folded through every stage — what the outermost wrapper
-  /// reports as its SIZED estimate — or 0 when the source is not SIZED or
-  /// a stage makes the count unknowable.
-  std::uint64_t countable_estimate() const {
-    if (!source_has(kSized)) return 0;
+  /// The output's characteristics: the source's, folded through every
+  /// stage.
+  Characteristics characteristics() const {
+    Characteristics c = source_characteristics();
+    for (const auto& s : stages()) c = s->characteristics(c);
+    return c;
+  }
+
+  /// The output's size estimate: the source's, folded through every stage
+  /// (exact when characteristics() has kSized).
+  std::uint64_t output_estimate() const {
     std::uint64_t n = estimate_size();
-    for (const auto& s : stages()) {
-      if (n == kUnknownSinkSize) break;
-      n = s->transform_count(n);
-    }
-    return n == kUnknownSinkSize ? 0 : n;
+    for (const auto& s : stages()) n = s->estimate_size(n);
+    return n;
+  }
+
+  /// The element count a leaf reports to the observe counters: the output
+  /// estimate when it is exact, 0 otherwise.
+  std::uint64_t countable_estimate() const {
+    return has_characteristics(characteristics(), kSized) ? output_estimate()
+                                                          : 0;
   }
 
  protected:
@@ -165,17 +185,6 @@ class FusedPipeline {
   bool cancels_ = false;
   bool one_to_one_ = true;
   bool stateful_ = false;
-};
-
-/// Mixin for wrapper spliterators that can dissolve into a fused stage.
-/// strip_into_fused() fuses the upstream (which always succeeds, see
-/// fuse_pipeline) and appends this wrapper's stage, or returns nullptr
-/// with nothing consumed when this wrapper cannot dissolve right now —
-/// the fuse step then adopts the wrapper itself as the source.
-class FusableStage {
- public:
-  virtual ~FusableStage() = default;
-  virtual std::unique_ptr<FusedPipeline> strip_into_fused() = 0;
 };
 
 /// Mixin for spliterators that can be driven more than once. A source
@@ -202,8 +211,8 @@ class FusedPipelineImpl final : public FusedPipeline {
     return source_->estimate_size();
   }
 
-  bool source_has(Characteristics wanted) const override {
-    return source_->has(wanted);
+  Characteristics source_characteristics() const override {
+    return source_->characteristics();
   }
 
   std::optional<OutputWindow> source_window() const override {
@@ -249,6 +258,22 @@ class FusedPipelineImpl final : public FusedPipeline {
     run_drive(terminal, /*element_mode=*/true);
   }
 
+  bool drive_step(SinkControl& terminal) override {
+    if (step_head_ == nullptr) {
+      PLS_CHECK(!driven_, "fused pipeline already driven");
+      driven_ = true;
+      step_head_ = &open_chain(terminal, step_chain_);
+    }
+    if (step_ended_) return false;
+    if (!step_head_->cancellation_requested() &&
+        source_->try_advance([&](const S& v) { step_head_->accept(v); })) {
+      return true;
+    }
+    step_head_->end();
+    step_ended_ = true;
+    return false;
+  }
+
   void reset() override {
     PLS_CHECK(!cancels_,
               "cannot reset a fused pipeline with a cancelling stage "
@@ -261,6 +286,14 @@ class FusedPipelineImpl final : public FusedPipeline {
               "fused pipeline source is not reusable (ReusableSource)");
     reusable->rearm();
     driven_ = false;
+  }
+
+  /// Hand the source back: a stage-free pipeline's pull view is its own
+  /// source (into_spliterator).
+  std::unique_ptr<Spliterator<S>> release_source() {
+    PLS_CHECK(stages_.empty() && !driven_,
+              "only an undriven stage-free pipeline releases its source");
+    return std::move(source_);
   }
 
  private:
@@ -276,25 +309,32 @@ class FusedPipelineImpl final : public FusedPipeline {
     return out;
   }
 
-  void run_drive(SinkControl& terminal, bool element_mode) {
-    PLS_CHECK(!driven_,
-              "fused pipeline already driven; call reset() between drives");
-    driven_ = true;
-    // Compose the sink chain back-to-front: terminal first, then each
-    // stage outermost-in. One virtual wrap_sink per stage per leaf.
-    std::vector<std::unique_ptr<SinkControl>> owned;
+  /// Compose the sink chain back-to-front into `owned` — terminal first,
+  /// then each stage outermost-in, one virtual wrap_sink per stage per
+  /// leaf — and begin it. The head consumes the source element type S: it
+  /// is the innermost stage's sink or (stage-free chain) the terminal
+  /// itself, whose element type the caller checked against
+  /// output_type().
+  Sink<S>& open_chain(SinkControl& terminal,
+                      std::vector<std::unique_ptr<SinkControl>>& owned) {
     owned.reserve(stages_.size());
     SinkControl* down = &terminal;
     for (std::size_t i = stages_.size(); i-- > 0;) {
       owned.push_back(stages_[i]->wrap_sink(*down));
       down = owned.back().get();
     }
-    // `down` now consumes the source element type S: it is either the
-    // innermost stage's sink or (stage-free chain) the terminal itself,
-    // whose element type fuse_pipeline verified to be S.
     auto& head = static_cast<Sink<S>&>(*down);
     head.begin(source_->has(kSized) ? source_->estimate_size()
                                     : kUnknownSinkSize);
+    return head;
+  }
+
+  void run_drive(SinkControl& terminal, bool element_mode) {
+    PLS_CHECK(!driven_,
+              "fused pipeline already driven; call reset() between drives");
+    driven_ = true;
+    std::vector<std::unique_ptr<SinkControl>> owned;
+    Sink<S>& head = open_chain(terminal, owned);
     if (element_mode) {
       drive_cancellable(head);
     } else {
@@ -355,12 +395,157 @@ class FusedPipelineImpl final : public FusedPipeline {
   std::vector<std::shared_ptr<const StageNode>> stages_;
   bool driven_ = false;
   bool last_drive_cancelled_ = false;
+  // The sink chain drive_step keeps open between calls.
+  std::vector<std::unique_ptr<SinkControl>> step_chain_;
+  Sink<S>* step_head_ = nullptr;
+  bool step_ended_ = false;
 };
+
+/// A stage-free fused pipeline over `sp` (consumed) — how every stream,
+/// service session and multiway collect starts. Any spliterator
+/// qualifies: drive_bulk takes contiguous chunks when the source offers
+/// them and otherwise buffers for_each_remaining into kFusionChunk
+/// batches.
+template <typename T>
+std::unique_ptr<FusedPipeline> fuse_source(
+    std::unique_ptr<Spliterator<T>> sp) {
+  return std::make_unique<FusedPipelineImpl<T>>(std::move(sp));
+}
+
+/// The pull view of a pipeline with stages, whose output type is T.
+/// Splitting splits the pipeline; for_each_remaining drives its sink
+/// chain in one push loop; try_advance pushes one source element at a
+/// time through the chain into a buffer until something arrives (Java's
+/// WrappingSpliterator.fillBuffer), so a short-circuiting reader pulls
+/// the source exactly as deep as a fused drive would. Once stepping has
+/// begun the chain holds state and buffered elements, so it no longer
+/// splits. A 1:1 chain names its source's destination window.
+template <typename T>
+class PipelineSpliterator final : public Spliterator<T>,
+                                  public WindowedSource {
+ public:
+  using Action = typename Spliterator<T>::Action;
+
+  explicit PipelineSpliterator(std::unique_ptr<FusedPipeline> fp)
+      : fp_(std::move(fp)) {
+    PLS_CHECK(fp_ != nullptr && fp_->output_type() == typeid(T),
+              "pipeline spliterator type does not match the pipeline");
+  }
+
+  bool try_advance(Action action) override {
+    while (next_ == buffer_.size()) {
+      if (drained_) return false;
+      buffer_.clear();
+      next_ = 0;
+      stepped_ = true;
+      drained_ = !fp_->drive_step(buffer_sink_);
+    }
+    action(buffer_[next_++]);
+    return true;
+  }
+
+  void for_each_remaining(Action action) override {
+    if (stepped_ || drained_) {
+      Spliterator<T>::for_each_remaining(action);
+      return;
+    }
+    drained_ = true;
+    ActionSink sink(action);
+    fp_->drive(sink);
+  }
+
+  std::unique_ptr<Spliterator<T>> try_split() override {
+    if (stepped_ || drained_) return nullptr;
+    auto prefix = fp_->try_split();
+    if (!prefix) return nullptr;
+    return std::make_unique<PipelineSpliterator<T>>(std::move(prefix));
+  }
+
+  std::vector<std::unique_ptr<Spliterator<T>>> try_split_n(
+      std::size_t n) override {
+    std::vector<std::unique_ptr<Spliterator<T>>> out;
+    if (stepped_ || drained_) return out;
+    for (auto& part : fp_->try_split_n(n)) {
+      out.push_back(std::make_unique<PipelineSpliterator<T>>(std::move(part)));
+    }
+    return out;
+  }
+
+  std::uint64_t estimate_size() const override {
+    const std::uint64_t buffered = buffer_.size() - next_;
+    return drained_ ? buffered : fp_->output_estimate() + buffered;
+  }
+
+  Characteristics characteristics() const override {
+    return fp_->characteristics();
+  }
+
+  std::optional<OutputWindow> try_output_window() const override {
+    if (!fp_->one_to_one()) return std::nullopt;
+    return fp_->source_window();
+  }
+
+ private:
+  class BufferSink final : public Sink<T> {
+   public:
+    explicit BufferSink(std::vector<T>& out) : out_(out) {}
+    void accept(const T& value) override { out_.push_back(value); }
+
+   private:
+    std::vector<T>& out_;
+  };
+
+  class ActionSink final : public Sink<T> {
+   public:
+    explicit ActionSink(Action action) : action_(action) {}
+    void accept(const T& value) override { action_(value); }
+
+   private:
+    Action action_;
+  };
+
+  std::unique_ptr<FusedPipeline> fp_;
+  std::vector<T> buffer_;
+  std::size_t next_ = 0;
+  BufferSink buffer_sink_{buffer_};
+  bool stepped_ = false;
+  bool drained_ = false;
+};
+
+/// A Spliterator<T> over pipeline `fp` (output type T): a stage-free
+/// pipeline hands back its own source — so concat of plain sources keeps
+/// their zero-copy try_chunk — and any other gets the pull adapter.
+template <typename T>
+std::unique_ptr<Spliterator<T>> into_spliterator(
+    std::unique_ptr<FusedPipeline> fp) {
+  if (fp->stage_count() == 0) {
+    auto* bare = dynamic_cast<FusedPipelineImpl<T>*>(fp.get());
+    PLS_CHECK(bare != nullptr, "pipeline source type does not match");
+    return bare->release_source();
+  }
+  return std::make_unique<PipelineSpliterator<T>>(std::move(fp));
+}
 
 // ---- stage descriptors ----------------------------------------------
 
+/// The element-type seam every stage states.
+template <typename In, typename Out>
+class TypedStage : public StageNode {
+ public:
+  const std::type_info& input_type() const noexcept override {
+    return typeid(In);
+  }
+  const std::type_info& output_type() const noexcept override {
+    return typeid(Out);
+  }
+};
+
+/// Stages that drop elements lose exact sizing (and the power-of-two
+/// count that rides on it).
+inline constexpr Characteristics kSizeFacts = kSized | kSubsized | kPower2;
+
 template <typename Out, typename In, typename Fn>
-class MapStage final : public StageNode {
+class MapStage final : public TypedStage<In, Out> {
  public:
   explicit MapStage(std::shared_ptr<const Fn> fn) : fn_(std::move(fn)) {}
 
@@ -369,12 +554,9 @@ class MapStage final : public StageNode {
     return std::make_unique<MapSink<In, Out, Fn>>(
         fn_, static_cast<Sink<Out>&>(downstream));
   }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(In);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(Out);
+  // Mapping preserves size and order but not sortedness/distinctness.
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~(kSorted | kDistinct);
   }
 
  private:
@@ -382,7 +564,7 @@ class MapStage final : public StageNode {
 };
 
 template <typename T, typename Pred>
-class FilterStage final : public StageNode {
+class FilterStage final : public TypedStage<T, T> {
  public:
   explicit FilterStage(std::shared_ptr<const Pred> pred)
       : pred_(std::move(pred)) {}
@@ -392,16 +574,11 @@ class FilterStage final : public StageNode {
     return std::make_unique<FilterSink<T, Pred>>(
         pred_, static_cast<Sink<T>&>(downstream));
   }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(T);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(T);
-  }
   bool one_to_one() const noexcept override { return false; }
-  std::uint64_t transform_count(std::uint64_t) const noexcept override {
-    return kUnknownSinkSize;
+  // The estimate stays the upstream's: an upper bound that still guides
+  // split depth.
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~kSizeFacts;
   }
 
  private:
@@ -409,7 +586,7 @@ class FilterStage final : public StageNode {
 };
 
 template <typename T, typename Fn>
-class PeekStage final : public StageNode {
+class PeekStage final : public TypedStage<T, T> {
  public:
   explicit PeekStage(std::shared_ptr<const Fn> observer)
       : observer_(std::move(observer)) {}
@@ -420,19 +597,14 @@ class PeekStage final : public StageNode {
         observer_, static_cast<Sink<T>&>(downstream));
   }
 
-  const std::type_info& input_type() const noexcept override {
-    return typeid(T);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(T);
-  }
-
  private:
   std::shared_ptr<const Fn> observer_;
 };
 
+/// skip + limit. Keeps kSized: the sliced count follows from the
+/// upstream's.
 template <typename T>
-class SliceStage final : public StageNode {
+class SliceStage final : public TypedStage<T, T> {
  public:
   SliceStage(std::uint64_t skip, std::uint64_t limit)
       : skip_(skip), limit_(limit) {}
@@ -442,18 +614,13 @@ class SliceStage final : public StageNode {
     return std::make_unique<SliceSink<T>>(skip_, limit_,
                                           static_cast<Sink<T>&>(downstream));
   }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(T);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(T);
-  }
   bool cancels() const noexcept override { return true; }
   bool one_to_one() const noexcept override { return false; }
-  std::uint64_t transform_count(std::uint64_t count) const noexcept override {
-    // Matches SliceSpliterator::estimate_size (the wrapper keeps kSized).
-    const std::uint64_t after_skip = count > skip_ ? count - skip_ : 0;
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~(kSubsized | kPower2);
+  }
+  std::uint64_t estimate_size(std::uint64_t n) const noexcept override {
+    const std::uint64_t after_skip = n > skip_ ? n - skip_ : 0;
     return after_skip < limit_ ? after_skip : limit_;
   }
 
@@ -462,8 +629,10 @@ class SliceStage final : public StageNode {
   std::uint64_t limit_;
 };
 
+/// flat_map. The estimate stays the upstream's (a lower bound in
+/// general).
 template <typename Out, typename In, typename Fn>
-class FlatMapStage final : public StageNode {
+class FlatMapStage final : public TypedStage<In, Out> {
  public:
   explicit FlatMapStage(std::shared_ptr<const Fn> fn) : fn_(std::move(fn)) {}
 
@@ -472,17 +641,9 @@ class FlatMapStage final : public StageNode {
     return std::make_unique<FlatMapSink<In, Out, Fn>>(
         fn_, static_cast<Sink<Out>&>(downstream));
   }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(In);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(Out);
-  }
   bool one_to_one() const noexcept override { return false; }
-  std::uint64_t transform_count(std::uint64_t) const noexcept override {
-    // Fan-out per element is arbitrary; the wrapper dropped kSized too.
-    return kUnknownSinkSize;
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~(kSizeFacts | kSorted | kDistinct);
   }
 
  private:
@@ -490,28 +651,22 @@ class FlatMapStage final : public StageNode {
 };
 
 template <typename T>
-class DistinctStage final : public StageNode {
+class DistinctStage final : public TypedStage<T, T> {
  public:
   std::unique_ptr<SinkControl> wrap_sink(
       SinkControl& downstream) const override {
-    return std::make_unique<DistinctSink<T>>(static_cast<Sink<T>&>(downstream));
-  }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(T);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(T);
+    return std::make_unique<DistinctSink<T>>(
+        static_cast<Sink<T>&>(downstream));
   }
   bool one_to_one() const noexcept override { return false; }
   bool stateful() const noexcept override { return true; }
-  std::uint64_t transform_count(std::uint64_t) const noexcept override {
-    return kUnknownSinkSize;
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return (c & ~kSizeFacts) | kDistinct;
   }
 };
 
 template <typename T, typename Pred>
-class TakeWhileStage final : public StageNode {
+class TakeWhileStage final : public TypedStage<T, T> {
  public:
   explicit TakeWhileStage(std::shared_ptr<const Pred> pred)
       : pred_(std::move(pred)) {}
@@ -521,26 +676,37 @@ class TakeWhileStage final : public StageNode {
     return std::make_unique<TakeWhileSink<T, Pred>>(
         pred_, static_cast<Sink<T>&>(downstream));
   }
-
-  const std::type_info& input_type() const noexcept override {
-    return typeid(T);
-  }
-  const std::type_info& output_type() const noexcept override {
-    return typeid(T);
-  }
   bool cancels() const noexcept override { return true; }
   bool one_to_one() const noexcept override { return false; }
-  std::uint64_t transform_count(std::uint64_t) const noexcept override {
-    return kUnknownSinkSize;
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~kSizeFacts;
   }
 
  private:
   std::shared_ptr<const Pred> pred_;
 };
 
-// The fuse step itself — fuse_source / fuse_pipeline, i.e. the admission
-// *decisions* — lives in streams/plan.hpp with every other admission
-// predicate; this header keeps only the mechanism (stages, pipelines,
-// the drive loops).
+/// drop_while: stateful, like Java's — which prefix to drop is a fact of
+/// the whole traversal, so the chain runs as one leaf.
+template <typename T, typename Pred>
+class DropWhileStage final : public TypedStage<T, T> {
+ public:
+  explicit DropWhileStage(std::shared_ptr<const Pred> pred)
+      : pred_(std::move(pred)) {}
+
+  std::unique_ptr<SinkControl> wrap_sink(
+      SinkControl& downstream) const override {
+    return std::make_unique<DropWhileSink<T, Pred>>(
+        pred_, static_cast<Sink<T>&>(downstream));
+  }
+  bool stateful() const noexcept override { return true; }
+  bool one_to_one() const noexcept override { return false; }
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    return c & ~kSizeFacts;
+  }
+
+ private:
+  std::shared_ptr<const Pred> pred_;
+};
 
 }  // namespace pls::streams

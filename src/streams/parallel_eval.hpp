@@ -1,9 +1,9 @@
 // Terminal-operation evaluator: sequential and fork-join parallel, over
 // one push transport.
 //
-// Every terminal runs fused (streams/fusion.hpp): the planner strips the
-// pipeline into a FusedPipeline, and each leaf composes one sink chain and
-// drives it with a single push loop. Parallel evaluation mirrors Java's:
+// Every terminal runs fused (streams/fusion.hpp): a pipeline is a source
+// plus a stage chain, and each leaf composes one sink chain and drives it
+// with a single push loop. Parallel evaluation mirrors Java's:
 // the pipeline is split recursively until chunks reach a target size
 // (estimate / (parallelism * 4) by default, as in
 // AbstractTask.suggestTargetSize), each leaf chunk is reduced
@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <type_traits>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -397,16 +398,6 @@ std::uint64_t fused_count_leaf(FusedPipeline& fp,
 /// collect, for_each): the join is a true no-op.
 struct NoCombine {};
 
-/// Combine-phase instrumentation shared by the combining terminals.
-template <typename Fn>
-auto combine_phase(unsigned depth, observe::CpNode* cp, Fn&& fn) {
-  observe::Span span(observe::EventKind::kCombine, depth);
-  observe::CpScope phase(cp, observe::CpPhase::kCombine);
-  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-  observe::local_counters().on_combine();
-  return fn();
-}
-
 /// What a leaf action returns (void for DPS collect and for_each).
 template <typename Leaf>
 using leaf_result_t =
@@ -518,9 +509,8 @@ auto drive_plan(FusedPipeline& fp, bool parallel, const ExecutionConfig& cfg,
 // ---- terminal dispatch -----------------------------------------------
 //
 // One run_fused overload per terminal descriptor; T is the pipeline's
-// output element type. Each obeys the plan the caller computed (DPS
-// verdict, resolved grain); both the dynamic evaluate() entry and the
-// static pipeline's evaluate_fused arrive here with a plan.
+// output element type. Each obeys the plan evaluate() computed (DPS
+// verdict, resolved grain).
 
 template <typename T, typename C>
 typename C::result_type run_fused(FusedPipeline& fused,
@@ -548,7 +538,7 @@ typename C::result_type run_fused(FusedPipeline& fused,
         return fused_collect_leaf<T>(fp, c, cp);
       },
       [&](A&& left, A&& right, unsigned depth, observe::CpNode* cp) {
-        combine_phase(depth, cp, [&] { c.combine(left, right); });
+        observed_combine(depth, cp, [&] { c.combine(left, right); });
         return std::move(left);
       });
   return c.finish(std::move(acc));
@@ -569,7 +559,7 @@ std::optional<T> run_fused(FusedPipeline& fused,
           observe::CpNode* cp) -> std::optional<T> {
         if (!left.has_value()) return std::move(right);
         if (!right.has_value()) return std::move(left);
-        return combine_phase(depth, cp, [&] {
+        return observed_combine(depth, cp, [&] {
           return std::optional<T>(op(std::move(*left), std::move(*right)));
         });
       });
@@ -648,11 +638,10 @@ std::optional<T> run_fused(FusedPipeline& fused, const terminals::FindFirst&,
 
 // ---- unified pipeline terminal dispatch ------------------------------
 //
-// Stream terminals hand their outermost spliterator here by owning
-// pointer, together with a terminals:: descriptor naming the operation.
-// evaluate() fuses the pipeline, asks the planner (streams/plan.hpp) for
-// an ExecutionPlan, records it for pls::session::explain(), and then
-// merely obeys it.
+// Terminals hand their pipeline here together with a terminals::
+// descriptor naming the operation. evaluate() asks the planner
+// (streams/plan.hpp) for an ExecutionPlan, records it for
+// pls::session::explain(), and then merely obeys it.
 
 namespace detail {
 
@@ -721,20 +710,22 @@ struct TerminalTraits<T, terminals::FindFirst> {
 
 }  // namespace detail
 
-/// Evaluate a terminal over an already-stripped FusedPipeline whose output
-/// element type is T: plan (plan_fused_pipeline decides DPS, grain, drive
-/// and kernel in one place), record the plan for pls::session::explain(),
-/// and run on its verdicts. The static pipeline calls this after
-/// appending its StaticChainStage; the multiway collect passes the
-/// `arity` its splits ask for (plist/multiway_spliterator.hpp).
+/// THE terminal entry point: plan a terminal over pipeline `fp`, whose
+/// output element type is T (plan_fused_pipeline decides DPS, grain,
+/// drive and kernel in one place), record the plan for
+/// pls::session::explain(), and run on its verdicts. Stream and
+/// StaticPipeline terminals arrive here with their pipeline; the multiway
+/// collect passes the `arity` its splits ask for
+/// (plist/multiway_spliterator.hpp).
 template <typename T, typename Term>
-auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
-                    const ExecutionConfig& cfg = {},
-                    PlanOrigin origin = PlanOrigin::kStatic,
-                    unsigned arity = 2) {
+auto evaluate(FusedPipeline& fp, const Term& term, bool parallel,
+              const ExecutionConfig& cfg = {},
+              PlanOrigin origin = PlanOrigin::kDynamic, unsigned arity = 2) {
+  PLS_CHECK(fp.output_type() == typeid(T),
+            "pipeline output type does not match the terminal");
   using Traits = detail::TerminalTraits<T, Term>;
   ExecutionPlan plan =
-      plan_fused_pipeline(fused, Traits::kind, Traits::sized_collector,
+      plan_fused_pipeline(fp, Traits::kind, Traits::sized_collector,
                           Traits::chunk_collector, parallel, cfg, origin);
   plan.arity = arity;
   record_plan(plan);
@@ -742,18 +733,7 @@ auto evaluate_fused(FusedPipeline& fused, const Term& term, bool parallel,
   // terminal's result is materialized, appending one RunRecord covering
   // the full run.
   RunScope run_scope(plan);
-  return detail::run_fused<T>(fused, term, parallel, cfg, plan);
-}
-
-/// THE terminal entry point of every dynamic Stream terminal: fuse the
-/// pipeline rooted at `sp` (consuming it), then plan, record and execute.
-template <typename T, typename Term>
-auto evaluate(std::unique_ptr<Spliterator<T>>& sp, const Term& term,
-              bool parallel, const ExecutionConfig& cfg = {},
-              PlanOrigin origin = PlanOrigin::kDynamic) {
-  PLS_CHECK(sp != nullptr, "evaluate requires a source");
-  auto fused = fuse_pipeline<T>(sp);
-  return evaluate_fused<T>(*fused, term, parallel, cfg, origin);
+  return detail::run_fused<T>(fp, term, parallel, cfg, plan);
 }
 
 }  // namespace pls::streams

@@ -7,9 +7,8 @@
 // (or one of the single-home predicates below) and obey the verdicts,
 // instead of re-deriving routing at each entry point.
 //
-// Fusion itself is not a decision: every pipeline runs fused. The fuse
-// step strips the fusable wrappers and adopts whatever layer stops the
-// strip as the fused pipeline's source (streams/fusion.hpp).
+// Fusion itself is not a decision: every pipeline is a fused source plus
+// stage chain from construction (streams/fusion.hpp).
 //
 // The plan is pure data: source shape, stage summary, a DPS verdict with
 // its reason, the drive mode, the resolved grain, and the kernel
@@ -45,6 +44,7 @@
 #include "observe/histogram.hpp"
 #include "observe/metrics.hpp"
 #include "observe/run_registry.hpp"
+#include "observe/trace.hpp"
 #include "streams/fusion.hpp"
 #include "streams/spliterator.hpp"
 #include "support/assert.hpp"
@@ -315,7 +315,7 @@ struct ExecutionPlan {
   bool parallel = false;
   unsigned parallelism = 1;
 
-  // Shape of the fused pipeline's source (the layer the strip stopped at).
+  // Shape of the fused pipeline's source.
   std::uint64_t source_size = 0;
   bool sized = false;
   bool subsized = false;
@@ -323,7 +323,7 @@ struct ExecutionPlan {
   bool power_of_two = false;
   bool interleaved = false;
 
-  // Stage summary of the stripped chain.
+  // Stage summary of the chain.
   std::uint32_t stages = 0;
   bool one_to_one = true;
   bool cancels = false;
@@ -411,51 +411,6 @@ inline PlanReason dps_window_reason(bool sized_subsized,
   return PlanReason::kAdmitted;
 }
 
-/// DPS admission over a bare spliterator (the routing tests): the
-/// spliterator must pass dps_window_reason; 1:1
-/// wrappers delegate their upstream's window, anything else names none.
-template <typename T>
-std::optional<OutputWindow> plan_dps_window(const Spliterator<T>& sp) {
-  const auto w = output_window_of(sp);
-  if (dps_window_reason(sp.has(kSized | kSubsized), w, sp.estimate_size(),
-                        sp.has(kInterleaved)) != PlanReason::kAdmitted) {
-    return std::nullopt;
-  }
-  return w;
-}
-
-// ---- the fuse step ---------------------------------------------------
-
-/// Adopt `sp` as the source of a stage-free fused pipeline — the
-/// pull-to-push leaf adapter. Any spliterator qualifies: drive_bulk takes
-/// contiguous chunks when the source offers them and otherwise buffers
-/// for_each_remaining into kFusionChunk batches.
-template <typename T>
-std::unique_ptr<FusedPipeline> fuse_source(
-    std::unique_ptr<Spliterator<T>>& sp) {
-  return std::make_unique<FusedPipelineImpl<T>>(std::move(sp));
-}
-
-/// Fuse the pipeline rooted at `sp` (the outermost wrapper or the bare
-/// source), consuming it. Fusable wrappers are stripped outermost-in;
-/// the first layer that is not a FusableStage, or whose
-/// strip_into_fused() refuses, becomes the fused pipeline's source. So
-/// this never fails.
-template <typename T>
-std::unique_ptr<FusedPipeline> fuse_pipeline(
-    std::unique_ptr<Spliterator<T>>& sp) {
-  PLS_CHECK(sp != nullptr, "fuse_pipeline requires a source");
-  if (auto* stage = dynamic_cast<FusableStage*>(sp.get())) {
-    if (auto fused = stage->strip_into_fused()) {
-      PLS_CHECK(fused->output_type() == typeid(T),
-                "fused pipeline output type does not match the terminal");
-      sp.reset();
-      return fused;
-    }
-  }
-  return fuse_source(sp);
-}
-
 // ---- grain policy ----------------------------------------------------
 
 /// The Java-style default split target: estimate / (4 * parallelism),
@@ -513,6 +468,13 @@ struct PlanProfile {
   std::uint64_t tuned_grain = 0;  ///< recommendation; 0 = none yet
 };
 
+/// The process-wide leaf-run latency histogram. Reads only kLeafRun of
+/// each slot: every metric of every slot costs microseconds per read.
+inline observe::HistogramSnapshot leaf_run_histogram() {
+  return observe::HistogramRegistry::global().aggregate(
+      observe::Metric::kLeafRun);
+}
+
 namespace detail {
 
 /// Fold of a critical-path subtree: total work, critical path, leaf
@@ -550,8 +512,8 @@ inline constexpr double kAutoGrainTargetLeafNs = 100e3;  // 100 µs
 
 /// Profiler-feedback grain store, keyed by pipeline shape (terminal kind,
 /// source size, parallelism, fused stage summary). plan_feedback() feeds
-/// it after each profiled parallel run; plan_pipeline() consumes it when
-/// auto-grain is on and min_chunk was left 0.
+/// it after each profiled parallel run; plan_fused_pipeline() consumes it
+/// when auto-grain is on and min_chunk was left 0.
 ///
 /// Policy: the tuned grain is min(default n/(4P), leaf-time budget /
 /// measured per-element cost) — never coarser than the Java default (so
@@ -624,9 +586,7 @@ class PlanCache {
     const double per_element =
         static_cast<double>(t.accumulate_ticks) * scale /
         static_cast<double>(t.elements);
-    const double leaf_p50 = observe::aggregate_histograms()
-                                .of(observe::Metric::kLeafRun)
-                                .quantile(0.5, scale);
+    const double leaf_p50 = leaf_run_histogram().quantile(0.5, scale);
     std::lock_guard<std::mutex> lock(mutex_);
     PlanProfile& p = map_[key];
     p.per_element_ns =
@@ -722,10 +682,11 @@ inline void finish_plan(ExecutionPlan& p, TerminalKind kind,
 
 }  // namespace detail
 
-/// Plan a terminal over an already-stripped FusedPipeline (the static
-/// pipeline's entry; also the tail of plan_pipeline).
-/// `collector_sized` / `chunk_collector` are the compile-time collector
-/// facts of the terminal, evaluated at the call site.
+/// THE planning entry point: decide every admission question over a
+/// fused pipeline — DPS, drive mode, grain (including auto-grain), kernel
+/// — and return the verdicts as data. `collector_sized` /
+/// `chunk_collector` are the compile-time collector facts of the
+/// terminal, evaluated at the call site.
 inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
                                          TerminalKind kind,
                                          bool collector_sized,
@@ -769,30 +730,6 @@ inline ExecutionPlan plan_fused_pipeline(const FusedPipeline& fp,
   return p;
 }
 
-/// A planned pipeline: the plan plus the stripped fused form.
-struct PlannedPipeline {
-  ExecutionPlan plan;
-  std::unique_ptr<FusedPipeline> fused;
-};
-
-/// THE planning entry point: fuse the pipeline rooted at `sp` (consuming
-/// it), then decide every admission question over the fused form — DPS,
-/// drive mode, grain (including auto-grain), kernel — and return the
-/// verdicts as data together with the fused pipeline to run.
-template <typename T>
-PlannedPipeline plan_pipeline(std::unique_ptr<Spliterator<T>>& sp,
-                              TerminalKind kind, bool collector_sized,
-                              bool chunk_collector, bool parallel,
-                              const ExecutionConfig& cfg,
-                              PlanOrigin origin = PlanOrigin::kDynamic) {
-  PLS_CHECK(sp != nullptr, "plan_pipeline requires a source");
-  PlannedPipeline out;
-  out.fused = fuse_pipeline<T>(sp);
-  out.plan = plan_fused_pipeline(*out.fused, kind, collector_sized,
-                                 chunk_collector, parallel, cfg, origin);
-  return out;
-}
-
 // ---- plan recording and feedback -------------------------------------
 
 namespace detail {
@@ -830,8 +767,7 @@ class RunScope {
   explicit RunScope(const ExecutionPlan& plan)
       : plan_(plan),
         counters_before_(observe::aggregate_counters()),
-        leaf_before_(observe::aggregate_histograms().of(
-            observe::Metric::kLeafRun)),
+        leaf_before_(leaf_run_histogram()),
         start_ms_(observe::steady_now_ms()) {}
 
   RunScope(const RunScope&) = delete;
@@ -856,8 +792,7 @@ class RunScope {
     rec.grain = plan_.grain;
     rec.counters = observe::aggregate_counters() - counters_before_;
     const observe::HistogramSnapshot leaf =
-        observe::aggregate_histograms().of(observe::Metric::kLeafRun) -
-        leaf_before_;
+        leaf_run_histogram() - leaf_before_;
     const double scale = observe::ns_per_tick();
     rec.leaf_p50_ns = leaf.quantile(0.5, scale);
     rec.leaf_p90_ns = leaf.quantile(0.9, scale);
@@ -926,6 +861,31 @@ auto run_synthesized(std::uint64_t length, std::uint64_t leaf_size,
   record_plan(p);
   RunScope scope(p);
   return body();
+}
+
+/// Per-node instrumentation of the split-tree walks (the streams
+/// evaluator's and both skeleton executors'): a leaf over `length`
+/// elements runs `basic` under an accumulate span, the kLeafRun timer and
+/// the leaf counters; a combine at `depth` runs `combine` under a combine
+/// span, the kCombineRun timer and the combine counter. `cp` (nullptr for
+/// none) takes the critical-path phases. All inert under PLS_OBSERVE=0.
+template <typename Fn>
+auto observed_leaf(std::uint64_t length, observe::CpNode* cp, Fn&& basic) {
+  observe::Span span(observe::EventKind::kAccumulate, length);
+  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
+  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
+  observe::cp_add_elements(cp, length);
+  observe::local_counters().on_leaf(length);
+  return basic();
+}
+
+template <typename Fn>
+auto observed_combine(unsigned depth, observe::CpNode* cp, Fn&& combine) {
+  observe::Span span(observe::EventKind::kCombine, depth);
+  observe::CpScope phase(cp, observe::CpPhase::kCombine);
+  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
+  observe::local_counters().on_combine();
+  return combine();
 }
 
 /// Feed one profiled parallel run back into the PlanCache — called by

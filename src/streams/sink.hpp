@@ -1,20 +1,19 @@
 // Sink<T>: the push-mode consumer protocol of the fusion engine
 // (mirrors java.util.stream.Sink).
 //
-// The wrapper-spliterator pipeline (streams/pipeline_spliterators.hpp)
-// evaluates pull-mode: every terminal traversal pays one indirect
-// try_advance / action hop per stage per element. Java's real engine never
-// does that — AbstractPipeline composes all intermediate ops into one Sink
-// chain per leaf (opWrapSink) and runs a single tight loop. This header is
-// that protocol: a Sink accepts a begin(size) / accept(value)* / end()
-// conversation, and can ask for early termination through
+// A pull pipeline pays one indirect try_advance / action hop per stage
+// per element. Java's engine never does that — AbstractPipeline composes
+// all intermediate ops into one Sink chain per leaf (opWrapSink) and runs
+// a single tight loop, and so does this one (streams/fusion.hpp). This
+// header is that protocol: a Sink accepts a begin(size) / accept(value)* /
+// end() conversation, and can ask for early termination through
 // cancellation_requested() (how limit/takeWhile short-circuit upstream).
 //
 // Two transports:
 //  - accept(v): one element, one virtual call — the type-erased fallback,
 //    and the only transport for cancelling (short-circuit) chains, whose
-//    per-element cancellation checks must observe exactly the same
-//    source-consumption depth as the wrapper path.
+//    per-element cancellation checks must consume the source no deeper
+//    than the ops' semantics demand.
 //  - accept_chunk(p, n): a whole batch per virtual call. Stage sinks
 //    override it with an inlined loop over their concrete operator
 //    (MapSink applies Fn in a tight scratch loop, PeekSink forwards the
@@ -85,8 +84,8 @@ class Sink : public SinkControl {
 //
 // One class per intermediate operation, templated on the concrete
 // operator type so the chunk loops inline it. Each holds the shared
-// operator (the same shared_ptr the wrapper spliterators split with) and
-// the downstream sink by reference.
+// operator (the same shared_ptr every split leaf's chain shares) and the
+// downstream sink by reference.
 
 /// map: applies Fn(In) -> Out. Chunk mode maps into a scratch buffer and
 /// pushes whole Out-chunks downstream; falls back to per-element accept
@@ -215,8 +214,7 @@ class PeekSink final : public Sink<T> {
 /// encounter order. Element mode pushes each expansion element as it is
 /// produced — on cancelling chains the whole expansion of the current
 /// source element is offered before the driver re-checks cancellation,
-/// matching the wrapper's buffer-one-expansion-at-a-time consumption
-/// depth exactly. Chunk mode gathers expansions into a scratch buffer
+/// so the source is pulled one expansion at a time. Chunk mode gathers expansions into a scratch buffer
 /// flushed in >= kFusionChunk batches; the downstream element count is
 /// unknowable, so begin() forwards kUnknownSinkSize.
 template <typename In, typename Out, typename Fn>
@@ -269,8 +267,8 @@ class FlatMapSink final : public Sink<In> {
   std::vector<Out> scratch_;
 };
 
-/// distinct: hash-dedup keeping the first occurrence in encounter order —
-/// identical semantics to the wrapper's keep-first set walk. Stateful:
+/// distinct: hash-dedup keeping the first occurrence in encounter order.
+/// Stateful:
 /// the seen-set spans the whole traversal, so a chain containing this
 /// sink must be driven by exactly one leaf (the planner refuses to split
 /// it; see StageNode::stateful in streams/fusion.hpp). Chunk mode
@@ -318,10 +316,9 @@ class DistinctSink final : public Sink<T> {
   std::vector<T> scratch_;
 };
 
-/// skip + limit (the SliceSpliterator pair). A cancelling stage: once the
-/// limit is exhausted it requests cancellation, and the element-mode
-/// driver stops pulling the source — the same consumption depth as the
-/// wrapper (skip + limit elements, never more). Cancelling chains always
+/// skip + limit. A cancelling stage: once the limit is exhausted it
+/// requests cancellation, and the element-mode driver stops pulling the
+/// source (skip + limit elements, never more). Cancelling chains always
 /// run element-mode, so the inherited accept_chunk is never hot.
 template <typename T>
 class SliceSink final : public Sink<T> {
@@ -358,9 +355,9 @@ class SliceSink final : public Sink<T> {
   Sink<T>& down_;
 };
 
-/// take_while: forwards the longest satisfying prefix, then cancels. Like
-/// the wrapper, the first failing element is consumed from the source
-/// (it must be examined) but not forwarded.
+/// take_while: forwards the longest satisfying prefix, then cancels. The
+/// first failing element is consumed from the source (it must be
+/// examined) but not forwarded.
 template <typename T, typename Pred>
 class TakeWhileSink final : public Sink<T> {
  public:
@@ -386,6 +383,42 @@ class TakeWhileSink final : public Sink<T> {
   std::shared_ptr<const Pred> pred_;
   Sink<T>& down_;
   bool done_ = false;
+};
+
+/// drop_while: drops the longest satisfying prefix, then forwards
+/// everything. Stateful — the prefix flag spans the traversal. Chunk mode
+/// forwards the rest of the chunk past the prefix as the same pointer.
+template <typename T, typename Pred>
+class DropWhileSink final : public Sink<T> {
+ public:
+  DropWhileSink(std::shared_ptr<const Pred> pred, Sink<T>& down)
+      : pred_(std::move(pred)), down_(down) {}
+
+  void begin(std::uint64_t) override { down_.begin(kUnknownSinkSize); }
+  void end() override { down_.end(); }
+  bool cancellation_requested() const override {
+    return down_.cancellation_requested();
+  }
+
+  void accept(const T& value) override {
+    if (dropping_ && (*pred_)(value)) return;
+    dropping_ = false;
+    down_.accept(value);
+  }
+
+  void accept_chunk(const T* values, std::size_t n) override {
+    std::size_t i = 0;
+    while (dropping_ && i < n && (*pred_)(values[i])) ++i;
+    if (i < n) {
+      dropping_ = false;
+      down_.accept_chunk(values + i, n - i);
+    }
+  }
+
+ private:
+  std::shared_ptr<const Pred> pred_;
+  Sink<T>& down_;
+  bool dropping_ = true;
 };
 
 }  // namespace pls::streams

@@ -48,17 +48,17 @@ struct OutputWindow {
 /// partition the parent's: tie splits hand the prefix the first half of
 /// the window (same stride), zip splits hand it the even positions
 /// (stride doubled), exactly mirroring how SpliteratorPower2 transforms
-/// its (start, incr, count) triple. Wrappers that merely map values 1:1
-/// (e.g. MapSpliterator) delegate to their upstream; sources that cannot
-/// name a window return nullopt and collect through the legacy
-/// supplier/combiner path.
+/// its (start, incr, count) triple. The pull view of a 1:1 pipeline
+/// (streams/fusion.hpp, PipelineSpliterator) names its source's window;
+/// sources that cannot name a window return nullopt and collect through
+/// the supplier/combiner path.
 class WindowedSource {
  public:
   virtual ~WindowedSource() = default;
 
   /// This spliterator's current destination window, or nullopt when the
-  /// source cannot provide one (e.g. a wrapper over a non-windowed
-  /// upstream).
+  /// source cannot provide one (e.g. a pipeline over a non-windowed
+  /// source).
   virtual std::optional<OutputWindow> try_output_window() const = 0;
 };
 
@@ -127,9 +127,8 @@ class Spliterator {
 };
 
 /// The destination window of an arbitrary spliterator, or nullopt when it
-/// is not a WindowedSource (or cannot currently name one). Used both by
-/// the destination-passing evaluator and by 1:1 wrappers delegating to
-/// their upstream.
+/// is not a WindowedSource (or cannot currently name one). Used by the
+/// destination-passing planner and by the split laws.
 template <typename T>
 std::optional<OutputWindow> output_window_of(const Spliterator<T>& sp) {
   const auto* w = dynamic_cast<const WindowedSource*>(&sp);

@@ -10,8 +10,8 @@
 // zero calls between stages.
 //
 // Integration point: the entire static stack becomes ONE StageNode
-// (StaticChainStage) appended to the ordinary FusedPipeline obtained from
-// fuse_pipeline<S>(). Splitting, destination-passing collect admission,
+// (StaticChainStage) appended to the pipeline of the stream it adopts.
+// Splitting, destination-passing collect admission,
 // observe-counter parity and the terminal drivers are all reused unchanged,
 // so a static pipeline is observationally identical to its dynamic
 // equivalent — element order, per-element evaluation order, and results are
@@ -24,14 +24,13 @@
 // driving, which would erase the whole point of the static chain; spell
 // those with the dynamic Stream API (docs/execution.md has the admission
 // table). Stateful stages (distinct, sorted) are likewise dynamic-only:
-// they carry runtime state that defeats splitting. Any source works: the
-// fuse step adopts whatever layer stops the strip as the fused source,
-// and the static stack runs on top of it.
+// they carry runtime state that defeats splitting. Any stream works: the
+// static stack appends to whatever pipeline the stream already holds.
 //
 // Entry points:
 //   pls::pipe(stages::map(f), stages::filter(p), ...).over(vec)...
 //   Stream<T>::stages(stages::map(f), ...)  — adopt an existing stream's
-//     source and execution settings mid-chain.
+//     pipeline and execution settings mid-chain.
 #pragma once
 
 #include <cstddef>
@@ -323,8 +322,13 @@ class StaticChainStage final : public StageNode {
   bool one_to_one() const noexcept override {
     return chain_one_to_one_v<Ops...>;
   }
-  std::uint64_t transform_count(std::uint64_t count) const noexcept override {
-    return chain_one_to_one_v<Ops...> ? count : kUnknownSinkSize;
+  // What the equivalent dynamic chain reports, conservatively (a
+  // peek-only stack keeps sortedness there).
+  Characteristics characteristics(Characteristics c) const noexcept override {
+    const Characteristics lost =
+        chain_one_to_one_v<Ops...> ? kSorted | kDistinct
+                                   : kSizeFacts | kSorted | kDistinct;
+    return c & ~lost;
   }
 
  private:
@@ -335,8 +339,8 @@ class StaticChainStage final : public StageNode {
 
 /// A single-use pipeline whose stage list is part of its type. Mirrors
 /// Stream's execution builders and terminals; on terminal evaluation it
-/// fuses the source, appends the one StaticChainStage, and runs the
-/// unified terminal dispatch.
+/// appends the one StaticChainStage to the pipeline it adopted and runs
+/// the unified terminal dispatch.
 template <typename S, typename... Ops>
 class StaticPipeline {
  public:
@@ -347,20 +351,14 @@ class StaticPipeline {
   StaticPipeline(std::unique_ptr<Spliterator<S>> source,
                  std::shared_ptr<const std::tuple<Ops...>> ops, bool parallel,
                  ExecutionConfig config)
-      : source_(std::move(source)),
-        ops_(std::move(ops)),
-        parallel_(parallel),
-        config_(config) {
-    PLS_CHECK(source_ != nullptr,
-              "StaticPipeline requires a source spliterator");
-  }
+      : StaticPipeline(fuse_source(std::move(source)), std::move(ops),
+                       parallel, config) {}
 
-  /// Adopt a stream's source and execution settings (used by
+  /// Adopt a stream's pipeline and execution settings (used by
   /// StagePipe::over and Stream::stages).
   static StaticPipeline adopt(Stream<S> s,
                               std::shared_ptr<const std::tuple<Ops...>> ops) {
-    return StaticPipeline(std::move(s.source_), std::move(ops), s.parallel_,
-                          s.config_);
+    return StaticPipeline(s.take(), std::move(ops), s.parallel_, s.config_);
   }
 
   // ---- execution configuration (same contract as Stream's) -----------
@@ -419,7 +417,7 @@ class StaticPipeline {
                        std::tuple<std::decay_t<More>...>(
                            std::forward<More>(more)...)));
     return StaticPipeline<S, Ops..., std::decay_t<More>...>(
-        std::move(source_), std::move(merged), parallel_, config_);
+        take(), std::move(merged), parallel_, config_);
   }
 
   // ---- terminal operations -------------------------------------------
@@ -454,29 +452,41 @@ class StaticPipeline {
         terminals::collect(VectorCollector<value_type>{}));
   }
 
-  /// Dissolve into the equivalent dynamic stream: same ops as wrapper
-  /// spliterators, same settings.
+  /// Dissolve into the equivalent dynamic stream: the same ops as
+  /// dynamic stages, the same settings.
   Stream<value_type> to_stream() && {
-    Stream<S> s(std::move(source_), parallel_);
-    s.config_ = config_;
-    return apply_from<0>(std::move(s));
+    return apply_from<0>(Stream<S>(take(), parallel_, config_));
   }
 
  private:
   template <typename S2, typename... Ops2>
   friend class StaticPipeline;
+  template <typename U>
+  friend class Stream;
 
-  /// Unified terminal drive: fuse the bound source, append the static
-  /// stack as one stage, evaluate.
+  StaticPipeline(std::unique_ptr<FusedPipeline> pipeline,
+                 std::shared_ptr<const std::tuple<Ops...>> ops, bool parallel,
+                 ExecutionConfig config)
+      : pipeline_(std::move(pipeline)),
+        ops_(std::move(ops)),
+        parallel_(parallel),
+        config_(config) {}
+
+  std::unique_ptr<FusedPipeline> take() {
+    PLS_CHECK(pipeline_ != nullptr, "StaticPipeline is single-use");
+    return std::move(pipeline_);
+  }
+
+  /// Unified terminal drive: append the static stack as one stage,
+  /// evaluate.
   template <typename Term>
   auto run(const Term& term) && {
-    PLS_CHECK(source_ != nullptr, "StaticPipeline is single-use");
-    auto fused = fuse_pipeline<S>(source_);
+    auto fp = take();
     if constexpr (sizeof...(Ops) > 0) {
-      fused->append_stage(std::make_shared<StaticChainStage<S, Ops...>>(ops_));
+      fp->append_stage(std::make_shared<StaticChainStage<S, Ops...>>(ops_));
     }
-    return evaluate_fused<value_type>(*fused, term, parallel_, config_,
-                                      PlanOrigin::kStatic);
+    return evaluate<value_type>(*fp, term, parallel_, config_,
+                                PlanOrigin::kStatic);
   }
 
   template <std::size_t I, typename Cur>
@@ -499,7 +509,7 @@ class StaticPipeline {
     }
   }
 
-  std::unique_ptr<Spliterator<S>> source_;
+  std::unique_ptr<FusedPipeline> pipeline_;
   std::shared_ptr<const std::tuple<Ops...>> ops_;
   bool parallel_ = false;
   ExecutionConfig config_{};
@@ -537,9 +547,9 @@ class StagePipe {
                                             ops_);
   }
 
-  /// Adopt an existing stream (source, parallelism and config carry over);
-  /// any ops already applied to the stream run dynamically upstream of the
-  /// static stack.
+  /// Adopt an existing stream (pipeline, parallelism and config carry
+  /// over); any ops already applied to the stream run dynamically upstream
+  /// of the static stack.
   template <typename T>
   StaticPipeline<T, Ops...> over(Stream<T> s) const {
     return StaticPipeline<T, Ops...>::adopt(std::move(s), ops_);
@@ -567,8 +577,8 @@ auto Stream<T>::stages(Ops&&... ops) && {
                 "stages(...) takes stage ops (stages::map/filter/peek/flat_map)");
   auto tuple = std::make_shared<const std::tuple<std::decay_t<Ops>...>>(
       std::forward<Ops>(ops)...);
-  return StaticPipeline<T, std::decay_t<Ops>...>(
-      std::move(source_), std::move(tuple), parallel_, config_);
+  return StaticPipeline<T, std::decay_t<Ops>...>(take(), std::move(tuple),
+                                                 parallel_, config_);
 }
 
 }  // namespace pls::streams

@@ -1,9 +1,11 @@
 // Stream<T>: the lazy pipeline facade (mirrors java.util.stream.Stream).
 //
-// A Stream owns a source spliterator plus execution settings (sequential
-// vs. parallel, pool, chunk target). Intermediate operations wrap the
-// spliterator and return a new Stream; terminal operations traverse it —
-// a Stream, like Java's, is single-use.
+// A Stream owns its fused pipeline — a source spliterator plus the chain
+// of stage descriptors its intermediate operations appended
+// (streams/fusion.hpp) — and execution settings (sequential vs. parallel,
+// pool, chunk target). Each intermediate operation appends one StageNode
+// and returns the stream of the new element type; terminal operations
+// plan and drive the pipeline — a Stream, like Java's, is single-use.
 //
 // Parallelism is requested exactly as in the paper's snippets: create the
 // stream from a spliterator with `parallel = true`
@@ -11,6 +13,7 @@
 // or toggle with .parallel()/.sequential().
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -22,7 +25,6 @@
 #include "streams/collector.hpp"
 #include "streams/fusion.hpp"
 #include "streams/parallel_eval.hpp"
-#include "streams/pipeline_spliterators.hpp"
 #include "streams/spliterator.hpp"
 #include "streams/spliterators.hpp"
 #include "support/assert.hpp"
@@ -31,157 +33,63 @@ namespace pls::streams {
 
 namespace detail {
 
-/// skip/limit wrapper. Sequential by design: it refuses to split (slicing
-/// a parallel pipeline deterministically requires encounter-order
-/// bookkeeping that Java, too, pays a heavy price for).
-template <typename T>
-class SliceSpliterator final : public Spliterator<T>, public FusableStage {
+/// sorted's barrier source: buffers the whole upstream at first need,
+/// sorts it, and then behaves as an array spliterator over the buffer —
+/// Java's full-barrier stateful op. Every observation (the planner's
+/// size and window probes included) materialises first, so the planner
+/// sees the same exactly-sized, windowed shape the drive will.
+template <typename T, typename Cmp>
+class SortedSpliterator final : public Spliterator<T>, public WindowedSource {
  public:
   using Action = typename Spliterator<T>::Action;
 
-  SliceSpliterator(std::unique_ptr<Spliterator<T>> upstream,
-                   std::uint64_t skip, std::uint64_t limit)
-      : upstream_(std::move(upstream)), skip_(skip), limit_(limit) {}
+  SortedSpliterator(std::unique_ptr<Spliterator<T>> upstream, Cmp cmp)
+      : upstream_(std::move(upstream)), cmp_(std::move(cmp)) {
+    PLS_CHECK(upstream_ != nullptr, "SortedSpliterator requires upstream");
+  }
 
   bool try_advance(Action action) override {
-    while (skip_ > 0) {
-      if (!upstream_->try_advance([](const T&) {})) return false;
-      --skip_;
-    }
-    if (limit_ == 0) return false;
-    if (!upstream_->try_advance(action)) return false;
-    --limit_;
-    return true;
+    return buffered().try_advance(action);
   }
-
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
-
-  std::uint64_t estimate_size() const override {
-    const std::uint64_t upstream = upstream_->estimate_size();
-    const std::uint64_t after_skip =
-        upstream > skip_ ? upstream - skip_ : 0;
-    return after_skip < limit_ ? after_skip : limit_;
-  }
-
-  Characteristics characteristics() const override {
-    return upstream_->characteristics() & ~(kSubsized | kPower2);
-  }
-
-  std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    auto fused = fuse_pipeline<T>(upstream_);
-    fused->append_stage(std::make_shared<SliceStage<T>>(skip_, limit_));
-    return fused;
-  }
-
- private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  std::uint64_t skip_;
-  std::uint64_t limit_;
-};
-
-/// takeWhile wrapper: emits elements until the predicate first fails.
-/// Sequential (refuses to split), as ordered prefix semantics demand.
-template <typename T, typename Pred>
-class TakeWhileSpliterator final : public Spliterator<T>,
-                                   public FusableStage {
- public:
-  using Action = typename Spliterator<T>::Action;
-
-  TakeWhileSpliterator(std::unique_ptr<Spliterator<T>> upstream, Pred pred)
-      : upstream_(std::move(upstream)), pred_(std::move(pred)) {}
-
-  bool try_advance(Action action) override {
-    if (done_) return false;
-    bool delivered = false;
-    const bool advanced = upstream_->try_advance([&](const T& v) {
-      if (pred_(v)) {
-        action(v);
-        delivered = true;
-      } else {
-        done_ = true;
-      }
-    });
-    if (!advanced) done_ = true;
-    return delivered;
-  }
-
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
-
-  std::uint64_t estimate_size() const override {
-    return done_ ? 0 : upstream_->estimate_size();
-  }
-
-  Characteristics characteristics() const override {
-    return upstream_->characteristics() &
-           ~(kSized | kSubsized | kPower2);
-  }
-
-  std::unique_ptr<FusedPipeline> strip_into_fused() override {
-    auto fused = fuse_pipeline<T>(upstream_);
-    fused->append_stage(std::make_shared<TakeWhileStage<T, Pred>>(
-        std::make_shared<const Pred>(pred_)));
-    return fused;
-  }
-
- private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  Pred pred_;
-  bool done_ = false;
-};
-
-/// dropWhile wrapper: skips the failing-prefix, then passes through. Not
-/// a FusableStage: at a terminal it becomes the fused pipeline's source,
-/// and the stages above it fuse.
-template <typename T, typename Pred>
-class DropWhileSpliterator final : public Spliterator<T> {
- public:
-  using Action = typename Spliterator<T>::Action;
-
-  DropWhileSpliterator(std::unique_ptr<Spliterator<T>> upstream, Pred pred)
-      : upstream_(std::move(upstream)), pred_(std::move(pred)) {}
-
-  bool try_advance(Action action) override {
-    while (dropping_) {
-      bool kept = false;
-      const bool advanced = upstream_->try_advance([&](const T& v) {
-        if (!pred_(v)) {
-          dropping_ = false;
-          action(v);
-          kept = true;
-        }
-      });
-      if (!advanced) {
-        dropping_ = false;
-        return false;
-      }
-      if (kept) return true;
-    }
-    return upstream_->try_advance(action);
-  }
-
   void for_each_remaining(Action action) override {
-    if (!dropping_) {
-      upstream_->for_each_remaining(action);
-      return;
-    }
-    Spliterator<T>::for_each_remaining(action);
+    buffered().for_each_remaining(action);
   }
-
-  std::unique_ptr<Spliterator<T>> try_split() override { return nullptr; }
-
+  std::pair<const T*, std::size_t> try_chunk(T* scratch,
+                                             std::size_t max_n) override {
+    return buffered().try_chunk(scratch, max_n);
+  }
+  std::unique_ptr<Spliterator<T>> try_split() override {
+    return buffered().try_split();
+  }
   std::uint64_t estimate_size() const override {
-    return upstream_->estimate_size();
+    return buffered().estimate_size();
   }
-
   Characteristics characteristics() const override {
-    return upstream_->characteristics() &
-           ~(kSized | kSubsized | kPower2);
+    return buffered().characteristics() | kSorted;
+  }
+  std::optional<OutputWindow> try_output_window() const override {
+    return buffered().try_output_window();
   }
 
  private:
-  std::unique_ptr<Spliterator<T>> upstream_;
-  Pred pred_;
-  bool dropping_ = true;
+  // Logically const: every observation goes through the buffer, so
+  // materialising it early never changes what callers see.
+  ArraySpliterator<T>& buffered() const {
+    if (!inner_) {
+      auto values = std::make_shared<std::vector<T>>();
+      upstream_->for_each_remaining(
+          [&](const T& v) { values->push_back(v); });
+      std::sort(values->begin(), values->end(), cmp_);
+      inner_ = std::make_unique<ArraySpliterator<T>>(
+          std::shared_ptr<const std::vector<T>>(std::move(values)));
+      upstream_.reset();
+    }
+    return *inner_;
+  }
+
+  mutable std::unique_ptr<Spliterator<T>> upstream_;
+  Cmp cmp_;
+  mutable std::unique_ptr<ArraySpliterator<T>> inner_;
 };
 
 }  // namespace detail
@@ -191,8 +99,9 @@ class Stream {
  public:
   /// Adopt a spliterator (the analogue of StreamSupport.stream).
   Stream(std::unique_ptr<Spliterator<T>> source, bool parallel)
-      : source_(std::move(source)), parallel_(parallel) {
-    PLS_CHECK(source_ != nullptr, "Stream requires a source spliterator");
+      : parallel_(parallel) {
+    PLS_CHECK(source != nullptr, "Stream requires a source spliterator");
+    pipeline_ = fuse_source(std::move(source));
   }
 
   // ---- factories ----------------------------------------------------
@@ -231,14 +140,13 @@ class Stream {
   template <typename Next>
   static Stream<T> iterate(T seed, Next next);
 
-  /// All elements of `a`, then all elements of `b` (Stream.concat).
-  /// Execution settings are taken from `a`.
+  /// All elements of `a`, then all elements of `b` (Stream.concat). Each
+  /// part joins as its pull view (into_spliterator). Execution settings
+  /// are taken from `a`.
   static Stream<T> concat(Stream<T> a, Stream<T> b) {
-    Stream<T> out(std::make_unique<ConcatSpliterator<T>>(
-                      std::move(a.source_), std::move(b.source_)),
-                  a.parallel_);
-    out.config_ = a.config_;
-    return out;
+    auto first = std::move(a).into_spliterator();
+    return a.rebase(std::make_unique<ConcatSpliterator<T>>(
+        std::move(first), std::move(b).into_spliterator()));
   }
 
   // ---- execution configuration --------------------------------------
@@ -301,82 +209,76 @@ class Stream {
   template <typename Fn>
   auto map(Fn fn) && {
     using U = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
-    auto shared = std::make_shared<const Fn>(std::move(fn));
-    return rewrap<U>(std::make_unique<MapSpliterator<U, T, Fn>>(
-        std::move(source_), shared));
+    return then<U>(std::make_shared<MapStage<U, T, Fn>>(
+        std::make_shared<const Fn>(std::move(fn))));
   }
 
   template <typename Pred>
   Stream<T> filter(Pred pred) && {
-    auto shared = std::make_shared<const Pred>(std::move(pred));
-    return rewrap<T>(std::make_unique<FilterSpliterator<T, Pred>>(
-        std::move(source_), shared));
+    return then<T>(std::make_shared<FilterStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
   template <typename Fn>
   Stream<T> peek(Fn observer) && {
-    auto shared = std::make_shared<const Fn>(std::move(observer));
-    return rewrap<T>(std::make_unique<PeekSpliterator<T, Fn>>(
-        std::move(source_), shared));
+    return then<T>(std::make_shared<PeekStage<T, Fn>>(
+        std::make_shared<const Fn>(std::move(observer))));
   }
 
   template <typename Fn>
   auto flat_map(Fn fn) && {
     using Vec = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
     using U = typename Vec::value_type;
-    auto shared = std::make_shared<const Fn>(std::move(fn));
-    return rewrap<U>(std::make_unique<FlatMapSpliterator<U, T, Fn>>(
-        std::move(source_), shared));
+    return then<U>(std::make_shared<FlatMapStage<U, T, Fn>>(
+        std::make_shared<const Fn>(std::move(fn))));
   }
 
-  /// Truncate to at most n elements (sequential slicing semantics).
+  /// Truncate to at most n elements. A cancelling stage: the pipeline
+  /// runs as one element-mode leaf (sequential slicing semantics).
   Stream<T> limit(std::uint64_t n) && {
-    return rewrap<T>(std::make_unique<detail::SliceSpliterator<T>>(
-        std::move(source_), 0, n));
+    return then<T>(std::make_shared<SliceStage<T>>(0, n));
   }
 
-  /// Drop the first n elements (sequential slicing semantics).
+  /// Drop the first n elements (sequential slicing semantics, like limit).
   Stream<T> skip(std::uint64_t n) && {
-    return rewrap<T>(std::make_unique<detail::SliceSpliterator<T>>(
-        std::move(source_), n,
-        std::numeric_limits<std::uint64_t>::max()));
+    return then<T>(std::make_shared<SliceStage<T>>(
+        n, std::numeric_limits<std::uint64_t>::max()));
   }
 
   /// Longest prefix satisfying the predicate (Java 9's takeWhile).
   /// Sequential slicing semantics, like limit.
   template <typename Pred>
   Stream<T> take_while(Pred pred) && {
-    return rewrap<T>(std::make_unique<detail::TakeWhileSpliterator<T, Pred>>(
-        std::move(source_), std::move(pred)));
+    return then<T>(std::make_shared<TakeWhileStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
-  /// Drop the longest prefix satisfying the predicate (dropWhile).
+  /// Drop the longest prefix satisfying the predicate (dropWhile). A
+  /// stateful stage: the pipeline runs as one leaf.
   template <typename Pred>
   Stream<T> drop_while(Pred pred) && {
-    return rewrap<T>(std::make_unique<detail::DropWhileSpliterator<T, Pred>>(
-        std::move(source_), std::move(pred)));
+    return then<T>(std::make_shared<DropWhileStage<T, Pred>>(
+        std::make_shared<const Pred>(std::move(pred))));
   }
 
-  /// Sort the elements (stateful: materialises lazily at first
-  /// traversal, like Java's sorted()). The buffer point restarts fusion:
-  /// terminals re-enter fuse_pipeline on the sorted buffer as a fresh
-  /// windowed array source, so downstream stages still fuse.
+  /// Sort the elements (a full barrier that materialises lazily, like
+  /// Java's sorted()). The sorted buffer becomes the source of a new
+  /// pipeline, so downstream stages still fuse over a windowed array.
   template <typename Cmp = std::less<T>>
   Stream<T> sorted(Cmp cmp = Cmp{}) && {
-    return rewrap<T>(std::make_unique<SortedSpliterator<T, Cmp>>(
-        std::move(source_), std::move(cmp)));
+    return rebase(std::make_unique<detail::SortedSpliterator<T, Cmp>>(
+        std::move(*this).into_spliterator(), std::move(cmp)));
   }
 
-  /// Remove duplicates, keeping first occurrences (stateful). Fuses as a
-  /// DistinctSink; the seen-set makes the chain single-leaf-only.
+  /// Remove duplicates, keeping first occurrences. A stateful stage: the
+  /// seen-set makes the pipeline single-leaf.
   Stream<T> distinct() && {
-    return rewrap<T>(std::make_unique<DistinctSpliterator<T>>(
-        std::move(source_)));
+    return then<T>(std::make_shared<DistinctStage<T>>());
   }
 
   // ---- typed static pipeline -----------------------------------------
 
-  /// Hand the stream's source to a compile-time stage stack: the ops
+  /// Hand the stream's pipeline to a compile-time stage stack: the ops
   /// (streams/static_fusion.hpp: stages::map/filter/peek values) become a
   /// tuple type, and terminals run the whole chain as one inlined loop
   /// per chunk with no virtual calls between stages. Defined in
@@ -390,8 +292,8 @@ class Stream {
   /// paper's adaptation).
   template <typename C>
   typename C::result_type collect(const C& collector) && {
-    return evaluate(source_, terminals::collect(collector), parallel_,
-                    config_);
+    return evaluate<T>(*take(), terminals::collect(collector), parallel_,
+                       config_);
   }
 
   /// Three-function collect, as in the paper's snippets:
@@ -401,34 +303,34 @@ class Stream {
                CombineFn combine) && {
     auto c = make_collector<T>(std::move(supply), std::move(accumulate),
                                std::move(combine));
-    return evaluate(source_, terminals::collect(c), parallel_, config_);
+    return evaluate<T>(*take(), terminals::collect(c), parallel_, config_);
   }
 
   /// Reduce with an associative operator; nullopt on an empty stream.
   template <typename Op>
   std::optional<T> reduce(Op op) && {
-    return evaluate(source_, terminals::reduce(op), parallel_, config_);
+    return evaluate<T>(*take(), terminals::reduce(op), parallel_, config_);
   }
 
   /// Reduce with identity; `identity` must be a true identity of `op`.
   template <typename Op>
   T reduce(T identity, Op op) && {
-    auto r = evaluate(source_, terminals::reduce(op), parallel_, config_);
+    auto r = evaluate<T>(*take(), terminals::reduce(op), parallel_, config_);
     return r.has_value() ? std::move(*r) : std::move(identity);
   }
 
   template <typename Fn>
   void for_each(Fn fn) && {
-    evaluate(source_, terminals::for_each(fn), parallel_, config_);
+    evaluate<T>(*take(), terminals::for_each(fn), parallel_, config_);
   }
 
   std::uint64_t count() && {
-    return evaluate(source_, terminals::count(), parallel_, config_);
+    return evaluate<T>(*take(), terminals::count(), parallel_, config_);
   }
 
   std::vector<T> to_vector() && {
-    return evaluate(source_, terminals::collect(VectorCollector<T>{}),
-                    parallel_, config_);
+    return evaluate<T>(*take(), terminals::collect(VectorCollector<T>{}),
+                       parallel_, config_);
   }
 
   template <typename Cmp = std::less<T>>
@@ -457,54 +359,86 @@ class Stream {
   /// that decides the answer.
   template <typename Pred>
   bool any_match(Pred pred) && {
-    return evaluate(source_, terminals::any_match(pred), parallel_, config_);
+    return evaluate<T>(*take(), terminals::any_match(pred), parallel_,
+                       config_);
   }
 
   /// Direct cancelling sink — not a negated any_match, so no negated
   /// predicate wrapper is evaluated per element.
   template <typename Pred>
   bool all_match(Pred pred) && {
-    return evaluate(source_, terminals::all_match(pred), parallel_, config_);
+    return evaluate<T>(*take(), terminals::all_match(pred), parallel_,
+                       config_);
   }
 
   template <typename Pred>
   bool none_match(Pred pred) && {
-    return evaluate(source_, terminals::none_match(pred), parallel_, config_);
+    return evaluate<T>(*take(), terminals::none_match(pred), parallel_,
+                       config_);
   }
 
   std::optional<T> find_first() && {
-    return evaluate(source_, terminals::find_first(), parallel_, config_);
+    return evaluate<T>(*take(), terminals::find_first(), parallel_, config_);
+  }
+
+  /// The stream as a Spliterator (Java's BaseStream.spliterator(), a
+  /// terminal operation): a stage-free stream hands back its source, any
+  /// other the pull adapter over its pipeline.
+  std::unique_ptr<Spliterator<T>> into_spliterator() && {
+    return streams::into_spliterator<T>(take());
   }
 
   // ---- introspection --------------------------------------------------
 
-  /// The underlying spliterator (e.g. to check the POWER2 characteristic
-  /// before applying a PowerList function, as the paper's snippet does).
-  const Spliterator<T>& spliterator() const { return *source_; }
-
-  Characteristics characteristics() const {
-    return source_->characteristics();
+  /// The pipeline the terminal will plan and drive: its source (e.g. to
+  /// check the POWER2 characteristic before applying a PowerList
+  /// function, as the paper's snippet does) and its stage chain.
+  const FusedPipeline& pipeline() const {
+    PLS_CHECK(pipeline_ != nullptr, "stream already consumed");
+    return *pipeline_;
   }
 
-  std::uint64_t estimate_size() const { return source_->estimate_size(); }
+  Characteristics characteristics() const {
+    return pipeline().characteristics();
+  }
+
+  std::uint64_t estimate_size() const { return pipeline().output_estimate(); }
 
  private:
+  Stream(std::unique_ptr<FusedPipeline> pipeline, bool parallel,
+         const ExecutionConfig& config)
+      : pipeline_(std::move(pipeline)), parallel_(parallel), config_(config) {}
+
+  /// Move the pipeline out for a terminal or a new stream; a Stream is
+  /// single-use.
+  std::unique_ptr<FusedPipeline> take() {
+    PLS_CHECK(pipeline_ != nullptr, "stream already consumed");
+    return std::move(pipeline_);
+  }
+
+  /// Append `stage` and hand the pipeline, now of element type U, to a
+  /// new stream with these settings.
   template <typename U>
-  Stream<U> rewrap(std::unique_ptr<Spliterator<U>> source) {
-    Stream<U> out(std::move(source), parallel_);
-    out.config_ = config_;
-    return out;
+  Stream<U> then(std::shared_ptr<const StageNode> stage) {
+    auto fp = take();
+    fp->append_stage(std::move(stage));
+    return Stream<U>(std::move(fp), parallel_, config_);
+  }
+
+  /// A stream with these settings over a fresh source.
+  Stream<T> rebase(std::unique_ptr<Spliterator<T>> source) const {
+    return Stream<T>(fuse_source(std::move(source)), parallel_, config_);
   }
 
   template <typename U>
   friend class Stream;
 
-  // The typed static pipeline adopts a stream's source and settings
+  // The typed static pipeline adopts a stream's pipeline and settings
   // (streams/static_fusion.hpp).
   template <typename S, typename... Ops>
   friend class StaticPipeline;
 
-  std::unique_ptr<Spliterator<T>> source_;
+  std::unique_ptr<FusedPipeline> pipeline_;
   bool parallel_ = false;
   ExecutionConfig config_{};
 };

@@ -186,6 +186,9 @@ TEST(Facade, PListForkJoinIsOneRecordedRun) {
   pls::plist::NWayReduce<int, std::plus<int>> sum{std::plus<int>{}, 3};
   pls::config cfg;
   cfg.parallelism = 2;
+  // max_split_depth is a process-wide high-water mark: start from zero so
+  // the record shows this run's depth.
+  pls::observe::CounterRegistry::global().reset();
   pls::run(cfg, [&](pls::session& s) {
     EXPECT_EQ(pls::plist::execute_forkjoin(s.pool(), sum, view, {}, 9),
               243 * 244 / 2);
@@ -199,6 +202,14 @@ TEST(Facade, PListForkJoinIsOneRecordedRun) {
       EXPECT_EQ(runs[0].cache_key, s.plan().cache_key);
       EXPECT_EQ(runs[0].source_size, 243u);
       EXPECT_EQ(runs[0].grain, 9u);
+      // 243 = 3^5 split three ways down to leaves of 9: 27 leaves under
+      // 1 + 3 + 9 splits, each combined once, at depths 0..2.
+      const auto& c = runs[0].counters;
+      EXPECT_EQ(c.leaf_chunks, 27u);
+      EXPECT_EQ(c.splits, 13u);
+      EXPECT_EQ(c.combines, 13u);
+      EXPECT_EQ(c.elements_accumulated, 243u);
+      EXPECT_EQ(c.max_split_depth, 2u);
     }
     return 0;
   });

@@ -8,9 +8,12 @@
 // injected below the generated ops, must equal reference_source_pulls.
 // The tentpole property drives each generated shape through 3 modes over
 // >= 200 iterations, plus routing and counter properties: every leaf runs
-// fused, and reports the element count the reference predicts.
-// (Match/find terminals and their consumption depth live in
-// fusion_wide_test.cpp.)
+// fused, and reports the element count the reference predicts. A second
+// generator (gen_staged_pipeline) puts stages where a plain chain never
+// does — inside concat parts, under sorted, around drop_while — and the
+// same properties hold there, with the consumption depth observed by a
+// counting peek on the raw source inside each concat part. (Match/find
+// terminals and their consumption depth live in fusion_wide_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,14 +43,16 @@ std::uint64_t chunk_for(const PipelineShape& s, Rand& r) {
   return 1 + r.below(8);
 }
 
-/// The tentpole property: the fused evaluator equals the reference
-/// interpreter, bit for bit, in every execution mode.
-TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
+using ShapeGen = PipelineShape (*)(Rand&, unsigned);
+
+/// The fused evaluator equals the reference interpreter, bit for bit, in
+/// every execution mode, over shapes drawn from `gen`.
+void check_every_mode(ShapeGen gen, int iterations) {
   pls::forkjoin::ForkJoinPool pool(2);
   const auto result = check(
-      "fused == reference x {seq, fj, dps}", suite_config(200),
-      [](Rand& r) {
-        PipelineShape s = gen_pipeline(r, 9);
+      "fused == reference x {seq, fj, dps}", suite_config(iterations),
+      [gen](Rand& r) {
+        PipelineShape s = gen(r, 9);
         return std::make_pair(s, r.bits());
       },
       [](const std::pair<PipelineShape, std::uint64_t>& c) {
@@ -82,6 +87,17 @@ TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
         return PropStatus::pass();
       });
   PLS_EXPECT_PROP(result);
+}
+
+/// The tentpole property over plain generated chains.
+TEST(FusionDifferential, FusedEqualsLegacyInEveryMode) {
+  check_every_mode(gen_pipeline, 200);
+}
+
+/// The same property with stages inside concat parts, under sorted and
+/// around drop_while.
+TEST(FusionDifferential, StagedPartsEqualReferenceInEveryMode) {
+  check_every_mode(gen_staged_pipeline, 200);
 }
 
 /// Short-circuit depth: a counting peek placed *before* the generated ops
@@ -141,10 +157,9 @@ TEST(FusionDifferential, FusionAdmissionMatchesPredicate) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Counter parity: fused leaves must feed elements_accumulated the count
-/// the outermost wrapper reports when it is SIZED (transform_count mirrors
-/// the wrappers' sizing), and 0 over unsized sources — the total
-/// expected_leaf_elements derives from the shape alone.
+/// Counter parity: fused leaves must feed elements_accumulated the
+/// pipeline's output size when its stages keep it exact, and 0 otherwise
+/// — the total expected_leaf_elements derives from the shape alone.
 TEST(FusionDifferential, FusedLeafElementTotalsMatchLegacy) {
   if (!pls::observe::kEnabled) {
     GTEST_SKIP() << "observability compiled out";
@@ -190,6 +205,53 @@ TEST(FusionDifferential, CountAndReduceAgreeFusedVsLegacy) {
         if (got_xor != expected_xor) {
           return PropStatus::fail("xor-reduce diverged from reference: " +
                                   s.debug_string());
+        }
+        return PropStatus::pass();
+      });
+  PLS_EXPECT_PROP(result);
+}
+
+/// Consumption depth and counters with staged parts: a counting peek on
+/// each raw source — inside each concat part, below its part ops — sees
+/// exactly the pulls the reference streaming model predicts; the
+/// sequential run is one fused leaf reporting expected_leaf_elements.
+TEST(FusionDifferential, StagedPartsConsumptionDepthAndCountersMatch) {
+  const auto result = check(
+      "staged source consumption == reference pulls", suite_config(200),
+      [](Rand& r) { return gen_staged_pipeline(r, 9); },
+      [](const PipelineShape& s) { return shrink_pipeline(s); },
+      [](const PipelineShape& s) -> PropStatus {
+        std::uint64_t pulls = 0;
+        const auto before = pls::observe::aggregate_counters();
+        const auto out =
+            apply_ops(build_source(s, [&pulls](const std::int64_t&) {
+                        ++pulls;
+                      }),
+                      s)
+                .to_vector();
+        const auto delta = pls::observe::aggregate_counters() - before;
+        if (out != reference_result(s)) {
+          return PropStatus::fail("probed result diverged from reference: " +
+                                  s.debug_string());
+        }
+        const std::uint64_t expected =
+            reference_source_pulls(s, [](std::int64_t) { return false; });
+        if (pulls != expected) {
+          return PropStatus::fail(
+              "pipeline consumed " + std::to_string(pulls) +
+              " source elements, reference consumes " +
+              std::to_string(expected) + ": " + s.debug_string());
+        }
+        if (pls::observe::kEnabled &&
+            (delta.leaf_chunks != 1 || delta.fused_leaves != 1 ||
+             delta.elements_accumulated != expected_leaf_elements(s))) {
+          return PropStatus::fail(
+              "sequential run had " + std::to_string(delta.leaf_chunks) +
+              " leaves, " + std::to_string(delta.fused_leaves) +
+              " fused, " + std::to_string(delta.elements_accumulated) +
+              " elements (expected " +
+              std::to_string(expected_leaf_elements(s)) +
+              "): " + s.debug_string());
         }
         return PropStatus::pass();
       });

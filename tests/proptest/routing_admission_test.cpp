@@ -1,6 +1,7 @@
-// Admission boundary of the destination-passing collect (PR 2): the
-// planner predicate plan_dps_window must admit exactly the
-// windowed, exactly-sized, power-of-two sources — and both routes must
+// Admission boundary of the destination-passing collect: the planner's
+// DPS verdict (plan_fused_pipeline over the stream's pipeline) must admit
+// exactly the windowed, exactly-sized, power-of-two sources — and both
+// routes must
 // produce identical results, so a misrouted pipeline is a performance bug,
 // never a correctness bug.
 #include <gtest/gtest.h>
@@ -27,21 +28,28 @@ Config suite_config(int iterations) {
   return cfg;
 }
 
-/// Routing matches the documented predicate. All generated sources
-/// (Array/Range/Generate) are windowed and SIZED|SUBSIZED; map/peek
-/// delegate windows 1:1 while filter/limit/take_while wrappers drop the
-/// window, so admission must reduce to "power-of-two count and an
-/// all-1:1 chain" — expects_dps_admission.
+/// The planner's DPS verdict for a sized-sink collect over `stream`.
+bool dps_admitted(const streams::Stream<std::int64_t>& stream) {
+  return streams::plan_fused_pipeline(
+             stream.pipeline(), streams::TerminalKind::kCollect,
+             /*collector_sized=*/true, /*chunk_collector=*/false,
+             /*parallel=*/false, streams::ExecutionConfig{},
+             streams::PlanOrigin::kDynamic)
+      .dps;
+}
+
+/// Routing matches the documented predicate. Array/Range/Generate
+/// sources are windowed and SIZED|SUBSIZED; map/peek keep the chain 1:1
+/// while filter/limit/take_while/flat_map/distinct/drop_while stages do
+/// not, so admission must reduce to "power-of-two count and an all-1:1
+/// chain" — expects_dps_admission.
 TEST(RoutingAdmission, WindowPresenceMatchesPowerOfTwoPredicate) {
   const auto result = check(
-      "plan_dps_window present == power-of-two size", suite_config(150),
+      "DPS verdict == power-of-two size", suite_config(150),
       [](Rand& r) { return gen_pipeline(r, 10); },
       [](const PipelineShape& s) { return shrink_pipeline(s); },
       [](const PipelineShape& s) -> PropStatus {
-        const auto stream = build_stream(s);
-        const bool admitted =
-            streams::plan_dps_window(stream.spliterator())
-                .has_value();
+        const bool admitted = dps_admitted(build_stream(s));
         if (admitted != expects_dps_admission(s)) {
           return PropStatus::fail(
               admitted
@@ -54,9 +62,9 @@ TEST(RoutingAdmission, WindowPresenceMatchesPowerOfTwoPredicate) {
   PLS_EXPECT_PROP(result);
 }
 
-/// Wrappers that lose exact sizing or the window (filter, slice,
-/// flat_map, concat) must always route to the legacy collect, even over a
-/// power-of-two source.
+/// Stages that lose exact sizing or the window (filter, slice, flat_map)
+/// and concat must always route to the supplier/combiner collect, even
+/// over a power-of-two source.
 TEST(RoutingAdmission, SizeObscuringWrappersAreNeverAdmitted) {
   const auto result = check(
       "filter/slice/flat_map/concat are never admitted", suite_config(60),
@@ -83,8 +91,7 @@ TEST(RoutingAdmission, SizeObscuringWrappersAreNeverAdmitted) {
                   build_stream(s), build_stream(s));
           }
         }();
-        if (streams::plan_dps_window(wrapped.spliterator())
-                .has_value()) {
+        if (dps_admitted(wrapped)) {
           return PropStatus::fail(
               "size-obscuring wrapper kept DPS admission (variant " +
               std::to_string(c.second) + ")");
@@ -134,11 +141,7 @@ TEST(RoutingAdmission, ExactBoundaryAroundPowersOfTwo) {
       s.source = SourceKind::kRange;
       s.size = n;
       s.data_seed = 1234;
-      const auto stream = build_stream(s);
-      EXPECT_EQ(
-          streams::plan_dps_window(stream.spliterator())
-              .has_value(),
-          pls::is_power_of_two(n))
+      EXPECT_EQ(dps_admitted(build_stream(s)), pls::is_power_of_two(n))
           << "n=" << n;
     }
   }

@@ -1,8 +1,9 @@
 // Spliterator contract law suite: every spliterator type in
 // src/streams/spliterators.hpp (Array, Range, Generate, Concat),
 // src/powerlist/spliterators.hpp (SpliteratorPower2, Tie, Zip) and
-// src/plist/multiway_spliterator.hpp (NTie, NZip) — plus the
-// map/peek/filter pipeline wrappers — checked against the generic
+// src/plist/multiway_spliterator.hpp (NTie, NZip) — plus the pull view
+// of map/peek/filter pipelines (streams/fusion.hpp, PipelineSpliterator)
+// — checked against the generic
 // contract checker over generated sizes, values, and split decisions.
 // NTie and NZip also face the n-way split law (try_split_n).
 #include <gtest/gtest.h>
@@ -16,8 +17,8 @@
 #include "proptest/gen.hpp"
 #include "proptest/laws.hpp"
 #include "proptest/prop.hpp"
-#include "streams/pipeline_spliterators.hpp"
 #include "streams/spliterators.hpp"
+#include "streams/stream.hpp"
 
 namespace {
 
@@ -249,15 +250,12 @@ TEST(SpliteratorLaws, MapWrapper) {
       return static_cast<std::int64_t>(static_cast<std::uint64_t>(v) * 2);
     }
   };
-  run_suite("MapSpliterator laws", false, [](const Case& c) {
+  run_suite("map pipeline spliterator laws", false, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto fn = std::make_shared<const Twice>();
-    return [shared, fn]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<
-          streams::MapSpliterator<std::int64_t, std::int64_t, Twice>>(
-          std::move(upstream), fn);
+    return [shared]() -> SpInt {
+      return streams::Stream<std::int64_t>::of_shared(shared)
+          .map(Twice{})
+          .into_spliterator();
     };
   });
 }
@@ -266,14 +264,12 @@ TEST(SpliteratorLaws, FilterWrapper) {
   struct Odd {
     bool operator()(const std::int64_t& v) const { return (v & 1) != 0; }
   };
-  run_suite("FilterSpliterator laws", false, [](const Case& c) {
+  run_suite("filter pipeline spliterator laws", false, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto pred = std::make_shared<const Odd>();
-    return [shared, pred]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<streams::FilterSpliterator<std::int64_t, Odd>>(
-          std::move(upstream), pred);
+    return [shared]() -> SpInt {
+      return streams::Stream<std::int64_t>::of_shared(shared)
+          .filter(Odd{})
+          .into_spliterator();
     };
   });
 }
@@ -282,14 +278,12 @@ TEST(SpliteratorLaws, PeekWrapper) {
   struct Noop {
     void operator()(const std::int64_t&) const {}
   };
-  run_suite("PeekSpliterator laws", false, [](const Case& c) {
+  run_suite("peek pipeline spliterator laws", false, [](const Case& c) {
     auto shared = std::make_shared<const std::vector<std::int64_t>>(c.data);
-    auto fn = std::make_shared<const Noop>();
-    return [shared, fn]() -> SpInt {
-      auto upstream =
-          std::make_unique<streams::ArraySpliterator<std::int64_t>>(shared);
-      return std::make_unique<streams::PeekSpliterator<std::int64_t, Noop>>(
-          std::move(upstream), fn);
+    return [shared]() -> SpInt {
+      return streams::Stream<std::int64_t>::of_shared(shared)
+          .peek(Noop{})
+          .into_spliterator();
     };
   });
 }

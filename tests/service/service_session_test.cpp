@@ -232,7 +232,7 @@ TEST(FusedPipelineReuse, SecondDriveWithoutResetThrows) {
       std::vector<long>{1, 2, 3, 4});
   std::unique_ptr<streams::Spliterator<long>> sp =
       std::make_unique<streams::ArraySpliterator<long>>(data);
-  auto fused = streams::fuse_source<long>(sp);
+  auto fused = streams::fuse_source<long>(std::move(sp));
   ASSERT_NE(fused, nullptr);
 
   VecSink<long> sink;
@@ -246,7 +246,7 @@ TEST(FusedPipelineReuse, ResetRequiresReusableSource) {
       std::make_shared<const std::vector<long>>(std::vector<long>{1, 2});
   std::unique_ptr<streams::Spliterator<long>> sp =
       std::make_unique<streams::ArraySpliterator<long>>(data);
-  auto fused = streams::fuse_source<long>(sp);
+  auto fused = streams::fuse_source<long>(std::move(sp));
   ASSERT_NE(fused, nullptr);
   VecSink<long> sink;
   fused->drive(sink);
@@ -260,7 +260,7 @@ TEST(FusedPipelineReuse, CancellingChainIsSingleDrive) {
       std::vector<long>{1, 2, 3, 4, 5, 6, 7, 8});
   std::unique_ptr<streams::Spliterator<long>> sp =
       std::make_unique<streams::ArraySpliterator<long>>(data);
-  auto fused = streams::fuse_source<long>(sp);
+  auto fused = streams::fuse_source<long>(std::move(sp));
   ASSERT_NE(fused, nullptr);
   fused->append_stage(
       std::make_shared<streams::SliceStage<long>>(/*skip=*/0, /*limit=*/3));
@@ -274,7 +274,7 @@ TEST(FusedPipelineReuse, BatchSpliteratorResetReplaysAndRebinds) {
   auto owned = std::make_unique<service::BatchSpliterator<long>>();
   auto* src = owned.get();
   std::unique_ptr<streams::Spliterator<long>> sp = std::move(owned);
-  auto fused = streams::fuse_source<long>(sp);
+  auto fused = streams::fuse_source<long>(std::move(sp));
   ASSERT_NE(fused, nullptr);
 
   const std::vector<long> first{10, 20, 30};
@@ -325,7 +325,7 @@ TEST(FusedPipelineReuse, BatchSpliteratorForwardsTheBoundSpanItself) {
   auto owned = std::make_unique<service::BatchSpliterator<long>>();
   owned->bind(batch.data(), batch.size());
   std::unique_ptr<streams::Spliterator<long>> sp = std::move(owned);
-  auto fused = streams::fuse_source<long>(sp);
+  auto fused = streams::fuse_source<long>(std::move(sp));
   ChunkSink sink;
   fused->drive(sink);
   EXPECT_EQ(sink.chunks, std::vector<const long*>{batch.data()});

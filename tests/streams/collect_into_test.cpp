@@ -8,11 +8,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
-
-#include "streams/pipeline_spliterators.hpp"
 
 #include "observe/counters.hpp"
 #include "streams/collectors.hpp"
@@ -26,7 +25,6 @@ using pls::observe::aggregate_counters;
 using pls::observe::CounterTotals;
 using pls::observe::kEnabled;
 using pls::streams::ArraySpliterator;
-using pls::streams::FilterSpliterator;
 using pls::streams::OutputWindow;
 using pls::streams::SizedSinkCollector;
 using pls::streams::Stream;
@@ -45,10 +43,20 @@ std::vector<int> test_data(int n) {
 static_assert(SizedSinkCollector<VectorCollector<int>, int>,
               "VectorCollector must satisfy the sized-sink protocol");
 
+/// The DPS window a collect over `sp` would be admitted with.
+std::optional<OutputWindow> dps_window(
+    std::unique_ptr<pls::streams::Spliterator<int>> sp) {
+  const auto fp = pls::streams::fuse_source(std::move(sp));
+  const auto plan = pls::streams::plan_fused_pipeline(
+      *fp, pls::streams::TerminalKind::kCollect, /*collector_sized=*/true,
+      /*chunk_collector=*/false, /*parallel=*/false,
+      pls::streams::ExecutionConfig{}, pls::streams::PlanOrigin::kDynamic);
+  return plan.dps ? plan.window : std::nullopt;
+}
+
 TEST(SizedSinkAdmission, PowerOfTwoArrayQualifies) {
   auto data = std::make_shared<const std::vector<int>>(test_data(8));
-  ArraySpliterator<int> sp(data);
-  const auto w = pls::streams::plan_dps_window(sp);
+  const auto w = dps_window(std::make_unique<ArraySpliterator<int>>(data));
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->start, 0u);
   EXPECT_EQ(w->incr, 1u);
@@ -57,18 +65,17 @@ TEST(SizedSinkAdmission, PowerOfTwoArrayQualifies) {
 
 TEST(SizedSinkAdmission, NonPowerOfTwoFallsBack) {
   auto data = std::make_shared<const std::vector<int>>(test_data(6));
-  ArraySpliterator<int> sp(data);
-  EXPECT_FALSE(pls::streams::plan_dps_window(sp).has_value());
+  EXPECT_FALSE(
+      dps_window(std::make_unique<ArraySpliterator<int>>(data)).has_value());
 }
 
 TEST(SizedSinkAdmission, UnsizedSourceFallsBack) {
-  auto data = std::make_shared<const std::vector<int>>(test_data(8));
-  auto pred = std::make_shared<const std::function<bool(const int&)>>(
-      [](const int&) { return true; });
-  FilterSpliterator<int, std::function<bool(const int&)>> sp(
-      std::make_unique<ArraySpliterator<int>>(data), pred);
-  EXPECT_FALSE(sp.has(pls::streams::kSized));
-  EXPECT_FALSE(pls::streams::plan_dps_window(sp).has_value());
+  auto sp = Stream<int>::of(test_data(8))
+                .filter(std::function<bool(const int&)>(
+                    [](const int&) { return true; }))
+                .into_spliterator();
+  EXPECT_FALSE(sp->has(pls::streams::kSized));
+  EXPECT_FALSE(dps_window(std::move(sp)).has_value());
 }
 
 // ---- the zero-copy guarantee ----------------------------------------
@@ -231,10 +238,10 @@ TEST(CollectInto, ExplicitRootWindowOnSubWindowSource) {
   // A spliterator over the middle of a larger array reports a window with
   // nonzero start; the evaluator must rebase it to fill the result from 0.
   auto storage = std::make_shared<const std::vector<int>>(test_data(64));
-  std::unique_ptr<pls::streams::Spliterator<int>> sp =
-      std::make_unique<ArraySpliterator<int>>(storage, 16, 48);  // start 16
-  auto out = pls::streams::evaluate(
-      sp, pls::streams::terminals::collect(VectorCollector<int>{}),
+  auto fp = pls::streams::fuse_source<int>(
+      std::make_unique<ArraySpliterator<int>>(storage, 16, 48));  // start 16
+  auto out = pls::streams::evaluate<int>(
+      *fp, pls::streams::terminals::collect(VectorCollector<int>{}),
       /*parallel=*/true,
       pls::streams::ExecutionConfig{}.with_min_chunk(4));
   const auto& plan = pls::streams::last_plan();

@@ -1,7 +1,7 @@
-// Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"):
-// terminal evaluation strips fusable wrapper chains into a FusedPipeline
-// and drives one sink chain per leaf; the first layer that does not strip
-// becomes the fused pipeline's source. These tests pin the contract:
+// Push-mode pipeline fusion (docs/execution.md, "Pipeline fusion"): a
+// stream is its FusedPipeline — a source plus the stages its ops
+// appended — and every terminal drives one sink chain per leaf. These
+// tests pin the contract:
 // results equal plain-loop expectations, short-circuit chains consume
 // exactly as deep into the source as their semantics demand, concat and
 // unsized sources fuse too, and the fused_leaves counter records that
@@ -21,6 +21,7 @@
 #include "forkjoin/pool.hpp"
 #include "observe/counters.hpp"
 #include "streams/sink.hpp"
+#include "streams/spliterators.hpp"
 #include "streams/stream.hpp"
 
 namespace {
@@ -173,8 +174,8 @@ TEST(Fusion, TakeWhileStopsAtFirstFailureLikeLegacy) {
 }
 
 TEST(Fusion, CancellingChainsRefuseToSplitInParallelMode) {
-  // limit in a parallel pipeline: the fused chain must stay a single
-  // leaf (as the SliceSpliterator wrapper does) and still be exact.
+  // limit in a parallel pipeline: the cancelling chain must stay a
+  // single leaf and still be exact.
   pls::forkjoin::ForkJoinPool pool(4);
   const CounterTotals before = counters_now();
   const auto out = Stream<long>::range(0, 1 << 12)
@@ -210,17 +211,24 @@ TEST(Fusion, FusedLeavesCounterRecordsRouting) {
     EXPECT_EQ(delta.elements_accumulated, 256u);
   }
   {
-    // drop_while does not strip: it becomes the fused pipeline's source,
-    // unsized, so the leaf reports no element count.
+    // drop_while is a stateful stage over the SIZED array source; it makes
+    // the output count unknowable, so the leaf reports no element count.
     const CounterTotals before = counters_now();
-    (void)Stream<long>::of(data)
-        .drop_while([](long v) { return v < 10; })
-        .map([](long v) { return v * 2; })
-        .to_vector();
+    const auto out = Stream<long>::of(data)
+                         .drop_while([](long v) { return v < 10; })
+                         .map([](long v) { return v * 2; })
+                         .to_vector();
     const CounterTotals delta = counters_now() - before;
+    EXPECT_EQ(out.size(), 247u);
     EXPECT_EQ(delta.fused_leaves, 1u);
     EXPECT_EQ(delta.leaf_chunks, 1u);
     EXPECT_EQ(delta.elements_accumulated, 0u);
+    const auto& plan = pls::streams::last_plan();
+    EXPECT_EQ(plan.stages, 2u);
+    EXPECT_TRUE(plan.sized);
+    EXPECT_EQ(plan.source_size, 256u);
+    EXPECT_TRUE(plan.stateful);
+    EXPECT_EQ(plan.dps_reason, pls::streams::PlanReason::kChainStateful);
   }
 }
 
@@ -241,9 +249,9 @@ TEST(Fusion, ParallelFusedLeafCountMatchesLeafChunks) {
 }
 
 TEST(Fusion, ConcatBottomedChainFuses) {
-  // concat names no destination window but is SIZED|SUBSIZED: the fuse
-  // step adopts it as the source, and every leaf — one per concat half
-  // and below, in parallel — runs the fused map chain.
+  // concat names no destination window but is SIZED|SUBSIZED: it is the
+  // pipeline's source, and every leaf — one per concat half and below, in
+  // parallel — runs the fused map chain.
   pls::forkjoin::ForkJoinPool pool(2);
   std::vector<long> expected;
   for (long v = 0; v < 100; ++v) expected.push_back(v * 5);
@@ -305,9 +313,9 @@ TEST(Fusion, ConcatForwardsContiguousChunksBitIdentically) {
 }
 
 TEST(Fusion, UnsizedIterateTailFuses) {
-  // iterate is unsized: it becomes the fused source below the map and
-  // limit stages. The plan reports the real (unsized) shape, no DPS, and
-  // the leaf reports no element count — as the wrapper leaf did.
+  // iterate is unsized: it is the source below the map and limit stages.
+  // The plan reports the real (unsized) shape, no DPS, and the leaf
+  // reports no element count.
   const CounterTotals before = counters_now();
   const auto out = Stream<long>::iterate(1L, [](long v) { return v * 2; })
                        .map([](long v) { return v + 1; })
@@ -414,6 +422,107 @@ TEST(Fusion, LargeArrayChunksSpanMultipleFusionBuffers) {
   ASSERT_EQ(out.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i], (i * i) ^ 0xdeadbeef) << "i=" << i;
+  }
+}
+
+// ---- the pull view (into_spliterator) --------------------------------
+
+TEST(Fusion, StageFreeStreamHandsBackItsSource) {
+  // A concat of plain sources keeps its parts' zero-copy try_chunk
+  // because a stage-free stream's pull view is its source itself.
+  auto sp = Stream<long>::of(iota(8)).into_spliterator();
+  EXPECT_NE(dynamic_cast<pls::streams::ArraySpliterator<long>*>(sp.get()),
+            nullptr);
+  auto staged = Stream<long>::of(iota(8))
+                    .map([](long v) { return v; })
+                    .into_spliterator();
+  EXPECT_EQ(dynamic_cast<pls::streams::ArraySpliterator<long>*>(staged.get()),
+            nullptr);
+}
+
+TEST(Fusion, PullViewStepsOneSourceElementAtATime) {
+  // try_advance pushes source elements through the chain one at a time
+  // until an element comes out: the filter keeps multiples of 3, so the
+  // second element out (3) costs source pulls 1, 2 and 3.
+  std::uint64_t pulls = 0;
+  auto sp = Stream<long>::range(0, 100)
+                .peek([&pulls](const long&) { ++pulls; })
+                .filter([](long v) { return v % 3 == 0; })
+                .into_spliterator();
+  std::vector<long> got;
+  const auto take = [&](const long& v) { got.push_back(v); };
+  ASSERT_TRUE(sp->try_advance(take));
+  EXPECT_EQ(pulls, 1u);
+  ASSERT_TRUE(sp->try_advance(take));
+  EXPECT_EQ(pulls, 4u);
+  // A stepped view no longer splits; the rest drains through the same
+  // chain.
+  EXPECT_EQ(sp->try_split(), nullptr);
+  sp->for_each_remaining(take);
+  EXPECT_EQ(pulls, 100u);
+  ASSERT_EQ(got.size(), 34u);
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], long(3 * i));
+  EXPECT_FALSE(sp->try_advance(take));
+}
+
+TEST(Fusion, ConcatOfStagedPartsRunsEachPartChain) {
+  pls::forkjoin::ForkJoinPool pool(2);
+  std::vector<long> expected;
+  for (long v = 0; v < 300; ++v) {
+    if (v % 2 == 0) expected.push_back(v * 10);
+  }
+  for (long v = 0; v < 40; ++v) expected.push_back(v + 1000);
+  for (const bool parallel : {false, true}) {
+    auto stream = Stream<long>::concat(
+        Stream<long>::range(0, 300)
+            .filter([](long v) { return v % 2 == 0; })
+            .map([](long v) { return v * 10; }),
+        Stream<long>::range(1000, 5000).limit(40));
+    if (parallel) {
+      stream = std::move(stream).parallel().via(pool).with_min_chunk(16);
+    }
+    EXPECT_EQ(std::move(stream).to_vector(), expected)
+        << (parallel ? "parallel" : "sequential");
+    const auto& plan = pls::streams::last_plan();
+    EXPECT_EQ(plan.stages, 0u);  // the part stages run inside the source
+    EXPECT_FALSE(plan.sized);    // the filtered part is not SIZED
+  }
+}
+
+TEST(Fusion, SortedIsABarrierSourceForTheStagesAfterIt) {
+  const auto out = Stream<long>::range(0, 50)
+                       .map([](long v) { return (v * 37) % 50; })
+                       .sorted()
+                       .map([](long v) { return v * 2; })
+                       .limit(5)
+                       .to_vector();
+  EXPECT_EQ(out, (std::vector<long>{0, 2, 4, 6, 8}));
+  const auto& plan = pls::streams::last_plan();
+  EXPECT_EQ(plan.stages, 2u);  // map + limit after the barrier
+  EXPECT_TRUE(plan.sized);
+  EXPECT_EQ(plan.source_size, 50u);
+  EXPECT_TRUE(plan.cancels);
+}
+
+TEST(Fusion, DropWhileRunsAsOneStatefulLeafInParallel) {
+  pls::forkjoin::ForkJoinPool pool(3);
+  const CounterTotals before = counters_now();
+  const auto out = Stream<long>::range(0, 4096)
+                       .parallel()
+                       .via(pool)
+                       .with_min_chunk(64)
+                       .drop_while([](long v) { return v < 4000; })
+                       .map([](long v) { return v - 4000; })
+                       .to_vector();
+  const CounterTotals delta = counters_now() - before;
+  std::vector<long> expected(96);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(out, expected);
+  const auto& plan = pls::streams::last_plan();
+  EXPECT_EQ(plan.drive, pls::streams::DriveMode::kStatefulLoop);
+  EXPECT_EQ(plan.dps_reason, pls::streams::PlanReason::kChainStateful);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(delta.leaf_chunks, 1u);
   }
 }
 

@@ -51,31 +51,41 @@ std::unique_ptr<streams::Spliterator<int>> tie_source(std::size_t n) {
   return std::make_unique<pls::powerlist::TieSpliterator<int>>(ints(n));
 }
 
-// ---- DPS admission (plan_dps_window) --------------------------------
+/// The plan of a terminal over the stage-free pipeline of `sp`.
+ExecutionPlan plan_of(std::unique_ptr<streams::Spliterator<int>> sp,
+                      TerminalKind kind, bool collector_sized,
+                      bool chunk_collector, bool parallel,
+                      const ExecutionConfig& cfg) {
+  const auto fp = streams::fuse_source(std::move(sp));
+  return streams::plan_fused_pipeline(*fp, kind, collector_sized,
+                                      chunk_collector, parallel, cfg,
+                                      PlanOrigin::kDynamic);
+}
+
+// ---- DPS admission --------------------------------------------------
 
 TEST(PlanDpsWindow, AdmitsPowerOfTwoWindowedSource) {
-  ArraySpliterator<int> sp(ints(16));
-  const auto w = streams::plan_dps_window(sp);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(w->count, 16u);
+  const ExecutionPlan p = plan_of(array_source(16), TerminalKind::kCollect,
+                                  true, false, false, ExecutionConfig{});
+  ASSERT_TRUE(p.dps);
+  ASSERT_TRUE(p.window.has_value());
+  EXPECT_EQ(p.window->count, 16u);
 }
 
 TEST(PlanDpsWindow, RejectsNonPowerOfTwo) {
-  ArraySpliterator<int> sp(ints(12));
-  EXPECT_FALSE(streams::plan_dps_window(sp).has_value());
+  const ExecutionPlan p = plan_of(array_source(12), TerminalKind::kCollect,
+                                  true, false, false, ExecutionConfig{});
+  EXPECT_FALSE(p.dps);
+  EXPECT_FALSE(p.window.has_value());
 }
 
-// ---- plan_pipeline verdicts -----------------------------------------
+// ---- plan_fused_pipeline verdicts -----------------------------------
 
 TEST(PlanPipeline, FusedDpsCollectPlan) {
-  auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, /*collector_sized=*/true,
+  const ExecutionPlan p = plan_of(
+      array_source(64), TerminalKind::kCollect, /*collector_sized=*/true,
       /*chunk_collector=*/false, /*parallel=*/false, cfg);
-  ASSERT_NE(planned.fused, nullptr);
-  EXPECT_EQ(sp, nullptr);  // the pipeline was consumed into the fused form
-  const ExecutionPlan& p = planned.plan;
   EXPECT_TRUE(p.sized);
   EXPECT_TRUE(p.subsized);
   EXPECT_TRUE(p.dps);
@@ -89,28 +99,28 @@ TEST(PlanPipeline, FusedDpsCollectPlan) {
 TEST(PlanPipeline, NonCollectTerminalNeverDps) {
   auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCount, false, false, false, cfg);
-  EXPECT_FALSE(planned.plan.dps);
-  EXPECT_EQ(planned.plan.dps_reason, PlanReason::kTerminalNotCollect);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCount, false, false, false, cfg);
+  EXPECT_FALSE(planned.dps);
+  EXPECT_EQ(planned.dps_reason, PlanReason::kTerminalNotCollect);
 }
 
 TEST(PlanPipeline, SizedSinkOffIsDisabledByConfig) {
   auto sp = array_source(64);
   const auto cfg = ExecutionConfig{}.with_sized_sink(false);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, false, cfg);
-  EXPECT_FALSE(planned.plan.dps);
-  EXPECT_EQ(planned.plan.dps_reason, PlanReason::kDisabledByConfig);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, false, cfg);
+  EXPECT_FALSE(planned.dps);
+  EXPECT_EQ(planned.dps_reason, PlanReason::kDisabledByConfig);
 }
 
 TEST(PlanPipeline, NonPowerOfTwoRefusesDpsWithReason) {
   auto sp = array_source(48);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, false, cfg);
-  EXPECT_FALSE(planned.plan.dps);
-  EXPECT_EQ(planned.plan.dps_reason, PlanReason::kNotPowerOfTwo);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, false, cfg);
+  EXPECT_FALSE(planned.dps);
+  EXPECT_EQ(planned.dps_reason, PlanReason::kNotPowerOfTwo);
 }
 
 // ---- grain resolution ------------------------------------------------
@@ -119,20 +129,21 @@ TEST(PlanGrain, ExplicitMinChunkWins) {
   pls::forkjoin::ForkJoinPool pool(2);
   auto sp = array_source(1024);
   const auto cfg = ExecutionConfig{}.with_pool(pool).with_min_chunk(17);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, /*parallel=*/true, cfg);
-  EXPECT_EQ(planned.plan.grain, 17u);
-  EXPECT_EQ(planned.plan.grain_source, GrainSource::kExplicit);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, /*parallel=*/true,
+      cfg);
+  EXPECT_EQ(planned.grain, 17u);
+  EXPECT_EQ(planned.grain_source, GrainSource::kExplicit);
 }
 
 TEST(PlanGrain, DefaultIsJavaQuarterRule) {
   pls::forkjoin::ForkJoinPool pool(2);
   auto sp = array_source(1024);
   const auto cfg = ExecutionConfig{}.with_pool(pool);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, true, cfg);
-  EXPECT_EQ(planned.plan.grain, streams::default_grain(1024, 2));
-  EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_EQ(planned.grain, streams::default_grain(1024, 2));
+  EXPECT_EQ(planned.grain_source, GrainSource::kDefault);
 }
 
 TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
@@ -144,9 +155,9 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   // Without a profile: identical to the default plan.
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
-        sp, TerminalKind::kCollect, true, false, true, cfg);
-    EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
+    const ExecutionPlan planned = plan_of(
+        std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+    EXPECT_EQ(planned.grain_source, GrainSource::kDefault);
   }
 
   // With a profile installed for the shape key: tuned, and never coarser
@@ -154,9 +165,9 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   std::uint64_t key = 0;
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
-        sp, TerminalKind::kCollect, true, false, true, cfg);
-    key = planned.plan.cache_key;
+    const ExecutionPlan planned = plan_of(
+        std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+    key = planned.cache_key;
   }
   PlanProfile prof;
   prof.samples = 1;
@@ -166,11 +177,11 @@ TEST(PlanGrain, AutoGrainConsumesCacheAndNeverCoarsens) {
   PlanCache::global().put(key, prof);
   {
     auto sp = array_source(1024);
-    auto planned = streams::plan_pipeline<int>(
-        sp, TerminalKind::kCollect, true, false, true, cfg);
-    EXPECT_EQ(planned.plan.grain_source, GrainSource::kAutoTuned);
-    EXPECT_EQ(planned.plan.grain, prof.tuned_grain);
-    EXPECT_LE(planned.plan.grain, streams::default_grain(1024, 2));
+    const ExecutionPlan planned = plan_of(
+        std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+    EXPECT_EQ(planned.grain_source, GrainSource::kAutoTuned);
+    EXPECT_EQ(planned.grain, prof.tuned_grain);
+    EXPECT_LE(planned.grain, streams::default_grain(1024, 2));
   }
   PlanCache::global().clear();
 }
@@ -179,9 +190,8 @@ TEST(PlanGrain, ZipSourceGetsOneLeafPerWorker) {
   pls::forkjoin::ForkJoinPool pool(3);
   auto sp = zip_source(1 << 12);
   const auto cfg = ExecutionConfig{}.with_pool(pool);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, true, cfg);
-  const ExecutionPlan& p = planned.plan;
+  const ExecutionPlan p = plan_of(std::move(sp), TerminalKind::kCollect,
+                                  true, false, true, cfg);
   EXPECT_TRUE(p.interleaved);
   EXPECT_EQ(p.grain, (1u << 12) / 3);
   EXPECT_EQ(p.grain, streams::interleaved_grain(1 << 12, 3));
@@ -201,22 +211,22 @@ TEST(PlanGrain, TieSourceKeepsJavaQuarterRule) {
   pls::forkjoin::ForkJoinPool pool(3);
   auto sp = tie_source(1 << 12);
   const auto cfg = ExecutionConfig{}.with_pool(pool);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, true, cfg);
-  EXPECT_FALSE(planned.plan.interleaved);
-  EXPECT_EQ(planned.plan.grain, streams::default_grain(1 << 12, 3));
-  EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
-  EXPECT_EQ(planned.plan.explain().find("interleaved"), std::string::npos);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_FALSE(planned.interleaved);
+  EXPECT_EQ(planned.grain, streams::default_grain(1 << 12, 3));
+  EXPECT_EQ(planned.grain_source, GrainSource::kDefault);
+  EXPECT_EQ(planned.explain().find("interleaved"), std::string::npos);
 }
 
 TEST(PlanGrain, ExplicitMinChunkBeatsInterleavedGrain) {
   pls::forkjoin::ForkJoinPool pool(3);
   auto sp = zip_source(1 << 12);
   const auto cfg = ExecutionConfig{}.with_pool(pool).with_min_chunk(64);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, true, cfg);
-  EXPECT_EQ(planned.plan.grain, 64u);
-  EXPECT_EQ(planned.plan.grain_source, GrainSource::kExplicit);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_EQ(planned.grain, 64u);
+  EXPECT_EQ(planned.grain_source, GrainSource::kExplicit);
 }
 
 TEST(PlanGrain, PlantedProfileDoesNotRefineZipPlan) {
@@ -227,22 +237,22 @@ TEST(PlanGrain, PlantedProfileDoesNotRefineZipPlan) {
   const auto cfg =
       ExecutionConfig{}.with_pool(pool).with_auto_grain(true);
   auto first = zip_source(1 << 12);
-  const auto before = streams::plan_pipeline<int>(
-      first, TerminalKind::kCollect, true, false, true, cfg);
+  const ExecutionPlan before = plan_of(
+      std::move(first), TerminalKind::kCollect, true, false, true, cfg);
   PlanProfile prof;
   prof.samples = 1;
   prof.per_element_ns = 1e4;
   prof.tuned_grain =
       PlanCache::tuned_grain_for(1 << 12, 3, prof.per_element_ns);
-  ASSERT_LT(prof.tuned_grain, before.plan.grain);
-  PlanCache::global().put(before.plan.cache_key, prof);
+  ASSERT_LT(prof.tuned_grain, before.grain);
+  PlanCache::global().put(before.cache_key, prof);
   auto second = zip_source(1 << 12);
-  const auto after = streams::plan_pipeline<int>(
-      second, TerminalKind::kCollect, true, false, true, cfg);
+  const ExecutionPlan after = plan_of(
+      std::move(second), TerminalKind::kCollect, true, false, true, cfg);
   PlanCache::global().clear();
-  EXPECT_EQ(after.plan.cache_key, before.plan.cache_key);
-  EXPECT_EQ(after.plan.grain, before.plan.grain);
-  EXPECT_EQ(after.plan.grain_source, GrainSource::kInterleaved);
+  EXPECT_EQ(after.cache_key, before.cache_key);
+  EXPECT_EQ(after.grain, before.grain);
+  EXPECT_EQ(after.grain_source, GrainSource::kInterleaved);
 }
 
 TEST(PlanGrain, ConcatOfZipSourcesIsNotInterleaved) {
@@ -252,10 +262,10 @@ TEST(PlanGrain, ConcatOfZipSourcesIsNotInterleaved) {
       std::make_unique<streams::ConcatSpliterator<int>>(zip_source(64),
                                                         zip_source(64));
   const auto cfg = ExecutionConfig{}.with_pool(pool);
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, true, cfg);
-  EXPECT_FALSE(planned.plan.interleaved);
-  EXPECT_EQ(planned.plan.grain_source, GrainSource::kDefault);
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, true, cfg);
+  EXPECT_FALSE(planned.interleaved);
+  EXPECT_EQ(planned.grain_source, GrainSource::kDefault);
 }
 
 TEST(PlanCachePolicy, TunedGrainBounds) {
@@ -294,15 +304,17 @@ TEST(PlanDeterminism, SameShapeSamePlan) {
   const auto cfg = ExecutionConfig{}.with_pool(pool);
   auto a_sp = array_source(256);
   auto b_sp = array_source(256);
-  auto a = streams::plan_pipeline<int>(a_sp, TerminalKind::kCollect, true,
+  const ExecutionPlan a = plan_of(
+      std::move(a_sp), TerminalKind::kCollect, true,
                                        false, true, cfg);
-  auto b = streams::plan_pipeline<int>(b_sp, TerminalKind::kCollect, true,
+  const ExecutionPlan b = plan_of(
+      std::move(b_sp), TerminalKind::kCollect, true,
                                        false, true, cfg);
-  EXPECT_EQ(a.plan.cache_key, b.plan.cache_key);
-  EXPECT_EQ(a.plan.stages, b.plan.stages);
-  EXPECT_EQ(a.plan.dps, b.plan.dps);
-  EXPECT_EQ(a.plan.grain, b.plan.grain);
-  EXPECT_EQ(a.plan.explain(), b.plan.explain());
+  EXPECT_EQ(a.cache_key, b.cache_key);
+  EXPECT_EQ(a.stages, b.stages);
+  EXPECT_EQ(a.dps, b.dps);
+  EXPECT_EQ(a.grain, b.grain);
+  EXPECT_EQ(a.explain(), b.explain());
 }
 
 TEST(PlanCacheKey, DistinguishesShapes) {
@@ -426,9 +438,9 @@ TEST(PlanRecording, TerminalsRecordLastPlan) {
 TEST(PlanExplain, NamesTheDecisions) {
   auto sp = array_source(64);
   const ExecutionConfig cfg;
-  auto planned = streams::plan_pipeline<int>(
-      sp, TerminalKind::kCollect, true, false, false, cfg);
-  const std::string text = planned.plan.explain();
+  const ExecutionPlan planned = plan_of(
+      std::move(sp), TerminalKind::kCollect, true, false, false, cfg);
+  const std::string text = planned.explain();
   EXPECT_NE(text.find("plan: collect"), std::string::npos);
   EXPECT_NE(text.find("source : 64 elements"), std::string::npos);
   EXPECT_NE(text.find("stages : 0 fused"), std::string::npos);

@@ -4,7 +4,13 @@
 // dropped by size-changing ones.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "powerlist/collector_functions.hpp"
 #include "powerlist/spliterators.hpp"
@@ -63,9 +69,99 @@ TEST(Power2Pipeline, LimitDropsIt) {
                                                  kPower2));
 }
 
+/// Stream::characteristics() and estimate_size() per op, pinned to the
+/// masks and sizes each op has always reported: one row per op over a
+/// 64-element zip source (which carries POWER2 and INTERLEAVED), plus a
+/// range source (which carries SORTED and DISTINCT) for the ops that
+/// drop or keep those.
+TEST(Power2Pipeline, CharacteristicsPerOpMatchTable) {
+  using namespace pls::streams;
+  constexpr Characteristics kZip =
+      kOrdered | kSized | kSubsized | kImmutable | kPower2 | kInterleaved;
+  constexpr Characteristics kRange =
+      kOrdered | kSized | kSubsized | kImmutable | kDistinct | kSorted;
+  using Facts = std::pair<Characteristics, std::uint64_t>;
+  const auto facts = [](const auto& s) {
+    return Facts{s.characteristics(), s.estimate_size()};
+  };
+  const auto zip = [] { return power2_stream(64, false); };
+  const auto range = [] { return Stream<long>::range(0, 64); };
+  const auto keep = [](const auto&) { return true; };
+  const auto small = [](const auto& v) { return v < 10; };
+  struct Row {
+    std::string op;
+    std::function<Facts()> actual;
+    Facts expected;
+  };
+  const std::vector<Row> rows = {
+      {"zip", [&] { return facts(zip()); }, {kZip, 64}},
+      {"zip.map",
+       [&] { return facts(zip().map([](double d) { return d + 1; })); },
+       {kZip, 64}},
+      {"zip.peek",
+       [&] { return facts(zip().peek([](const double&) {})); },
+       {kZip, 64}},
+      {"zip.filter", [&] { return facts(zip().filter(keep)); },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.flat_map",
+       [&] {
+         return facts(zip().flat_map(
+             [](const double& d) { return std::vector<double>{d, d}; }));
+       },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.limit(10)", [&] { return facts(zip().limit(10)); },
+       {kOrdered | kSized | kImmutable | kInterleaved, 10}},
+      {"zip.skip(10)", [&] { return facts(zip().skip(10)); },
+       {kOrdered | kSized | kImmutable | kInterleaved, 54}},
+      {"zip.take_while", [&] { return facts(zip().take_while(small)); },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.drop_while", [&] { return facts(zip().drop_while(small)); },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.distinct", [&] { return facts(zip().distinct()); },
+       {kOrdered | kImmutable | kInterleaved | kDistinct, 64}},
+      {"zip.filter.sorted",
+       [&] {
+         return facts(zip().filter([](double d) { return d < 40; }).sorted());
+       },
+       {kOrdered | kSized | kSubsized | kImmutable | kSorted, 40}},
+      {"concat(zip, zip.map)",
+       [&] {
+         return facts(Stream<double>::concat(
+             zip(), zip().map([](double d) { return -d; })));
+       },
+       {kOrdered | kSized | kSubsized | kImmutable, 128}},
+      {"range", [&] { return facts(range()); }, {kRange, 64}},
+      {"range.map",
+       [&] { return facts(range().map([](long v) { return v * 2; })); },
+       {kOrdered | kSized | kSubsized | kImmutable, 64}},
+      {"range.filter", [&] { return facts(range().filter(keep)); },
+       {kOrdered | kImmutable | kDistinct | kSorted, 64}},
+      {"range.limit(70)", [&] { return facts(range().limit(70)); },
+       {kOrdered | kSized | kImmutable | kDistinct | kSorted, 64}},
+      {"range.distinct", [&] { return facts(range().distinct()); },
+       {kOrdered | kImmutable | kDistinct | kSorted, 64}},
+      {"iterate.limit(5)",
+       [&] {
+         return facts(
+             Stream<long>::iterate(1L, [](long v) { return v + 1; }).limit(5));
+       },
+       {kOrdered, 5}},
+      {"iterate",
+       [&] {
+         return facts(Stream<long>::iterate(1L, [](long v) { return v; }));
+       },
+       {kOrdered, std::numeric_limits<std::uint64_t>::max()}},
+  };
+  for (const Row& row : rows) {
+    const Facts got = row.actual();
+    EXPECT_EQ(got.first, row.expected.first) << row.op;
+    EXPECT_EQ(got.second, row.expected.second) << row.op;
+  }
+}
+
 TEST(Power2Pipeline, MapThenPowerCollectorStillReconstructs) {
   // A mapped power-of-two stream is still PowerList-collectable: the
-  // mapping spliterator splits like its zip source, so zip_all
+  // mapped pipeline splits like its zip source, so zip_all
   // recombination reproduces the mapped sequence in order.
   const std::size_t n = 64;
   auto out = power2_stream(n)
@@ -103,17 +199,16 @@ TEST(Power2Pipeline, ZipSourceThroughReduceMatchesTieSource) {
 }
 
 TEST(Power2Pipeline, SplitHalvesKeepPower2ThroughMap) {
-  auto data = shared_n(16);
-  auto base = std::make_unique<ZipSpliterator<double>>(data);
-  auto fn = std::make_shared<const std::function<double(const double&)>>(
-      [](const double& d) { return d; });
-  pls::streams::MapSpliterator<double, double,
-                               std::function<double(const double&)>>
-      mapped(std::move(base), fn);
-  auto prefix = mapped.try_split();
+  auto mapped = stream_support::from_spliterator<double>(
+                    std::make_unique<ZipSpliterator<double>>(shared_n(16)),
+                    true)
+                    .map(std::function<double(const double&)>(
+                        [](const double& d) { return d; }))
+                    .into_spliterator();
+  auto prefix = mapped->try_split();
   ASSERT_NE(prefix, nullptr);
   EXPECT_TRUE(prefix->has(kPower2));
-  EXPECT_TRUE(mapped.has(kPower2));
+  EXPECT_TRUE(mapped->has(kPower2));
 }
 
 }  // namespace

@@ -216,28 +216,25 @@ TEST(StaticPipeline, OverRangeAndShared) {
 
 TEST(UnifiedEvaluate, TerminalDescriptorsMatchStreamTerminals) {
   const auto data = iota(40);
-  {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
+  const auto pipeline = [&] {
+    return streams::fuse_source<std::int64_t>(
         std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
+            std::make_shared<const std::vector<std::int64_t>>(data)));
+  };
+  {
     auto op = [](std::int64_t a, std::int64_t b) { return a + b; };
-    auto r = streams::evaluate(sp, streams::terminals::reduce(op), false);
+    auto r = streams::evaluate<std::int64_t>(
+        *pipeline(), streams::terminals::reduce(op), false);
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(*r, 780);
   }
+  EXPECT_EQ(streams::evaluate<std::int64_t>(
+                *pipeline(), streams::terminals::count(), false),
+            40u);
   {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-        std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
-    EXPECT_EQ(streams::evaluate(sp, streams::terminals::count(), false), 40u);
-  }
-  {
-    std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
-        std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-            std::make_shared<const std::vector<std::int64_t>>(data));
     std::int64_t sum = 0;
-    streams::evaluate(
-        sp,
+    streams::evaluate<std::int64_t>(
+        *pipeline(),
         streams::terminals::for_each([&](const std::int64_t& v) { sum += v; }),
         false);
     EXPECT_EQ(sum, 780);
@@ -247,10 +244,12 @@ TEST(UnifiedEvaluate, TerminalDescriptorsMatchStreamTerminals) {
 TEST(UnifiedEvaluate, DeprecatedAliasesStillWork) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  std::unique_ptr<streams::Spliterator<std::int64_t>> sp =
+  auto fp = streams::fuse_source<std::int64_t>(
       std::make_unique<streams::ArraySpliterator<std::int64_t>>(
-          std::make_shared<const std::vector<std::int64_t>>(iota(10)));
-  EXPECT_EQ(streams::evaluate(sp, streams::terminals::count(), false), 10u);
+          std::make_shared<const std::vector<std::int64_t>>(iota(10))));
+  EXPECT_EQ(streams::evaluate<std::int64_t>(*fp, streams::terminals::count(),
+                                            false),
+            10u);
 #pragma GCC diagnostic pop
 }
 
