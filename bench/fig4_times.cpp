@@ -20,8 +20,8 @@
 //                fusion & SIMD chunk kernels");
 //   flat_map_fused
 //                a fan-out-8 flat_map feeding four map stages and a sum
-//                (multi-accept FlatMapSink batching expansions into the
-//                chunk protocol);
+//                (a one-op StaticChainStage gathering expansions into
+//                kFusionChunk batches of the chunk protocol);
 //   horner_*     the Horner chunk kernel itself over the coefficient
 //                array, blocked/SIMD vs scalar — isolates the kernel
 //                speedup from stream transport.

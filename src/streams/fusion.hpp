@@ -544,63 +544,6 @@ class TypedStage : public StageNode {
 /// count that rides on it).
 inline constexpr Characteristics kSizeFacts = kSized | kSubsized | kPower2;
 
-template <typename Out, typename In, typename Fn>
-class MapStage final : public TypedStage<In, Out> {
- public:
-  explicit MapStage(std::shared_ptr<const Fn> fn) : fn_(std::move(fn)) {}
-
-  std::unique_ptr<SinkControl> wrap_sink(
-      SinkControl& downstream) const override {
-    return std::make_unique<MapSink<In, Out, Fn>>(
-        fn_, static_cast<Sink<Out>&>(downstream));
-  }
-  // Mapping preserves size and order but not sortedness/distinctness.
-  Characteristics characteristics(Characteristics c) const noexcept override {
-    return c & ~(kSorted | kDistinct);
-  }
-
- private:
-  std::shared_ptr<const Fn> fn_;
-};
-
-template <typename T, typename Pred>
-class FilterStage final : public TypedStage<T, T> {
- public:
-  explicit FilterStage(std::shared_ptr<const Pred> pred)
-      : pred_(std::move(pred)) {}
-
-  std::unique_ptr<SinkControl> wrap_sink(
-      SinkControl& downstream) const override {
-    return std::make_unique<FilterSink<T, Pred>>(
-        pred_, static_cast<Sink<T>&>(downstream));
-  }
-  bool one_to_one() const noexcept override { return false; }
-  // The estimate stays the upstream's: an upper bound that still guides
-  // split depth.
-  Characteristics characteristics(Characteristics c) const noexcept override {
-    return c & ~kSizeFacts;
-  }
-
- private:
-  std::shared_ptr<const Pred> pred_;
-};
-
-template <typename T, typename Fn>
-class PeekStage final : public TypedStage<T, T> {
- public:
-  explicit PeekStage(std::shared_ptr<const Fn> observer)
-      : observer_(std::move(observer)) {}
-
-  std::unique_ptr<SinkControl> wrap_sink(
-      SinkControl& downstream) const override {
-    return std::make_unique<PeekSink<T, Fn>>(
-        observer_, static_cast<Sink<T>&>(downstream));
-  }
-
- private:
-  std::shared_ptr<const Fn> observer_;
-};
-
 /// skip + limit. Keeps kSized: the sliced count follows from the
 /// upstream's.
 template <typename T>
@@ -627,27 +570,6 @@ class SliceStage final : public TypedStage<T, T> {
  private:
   std::uint64_t skip_;
   std::uint64_t limit_;
-};
-
-/// flat_map. The estimate stays the upstream's (a lower bound in
-/// general).
-template <typename Out, typename In, typename Fn>
-class FlatMapStage final : public TypedStage<In, Out> {
- public:
-  explicit FlatMapStage(std::shared_ptr<const Fn> fn) : fn_(std::move(fn)) {}
-
-  std::unique_ptr<SinkControl> wrap_sink(
-      SinkControl& downstream) const override {
-    return std::make_unique<FlatMapSink<In, Out, Fn>>(
-        fn_, static_cast<Sink<Out>&>(downstream));
-  }
-  bool one_to_one() const noexcept override { return false; }
-  Characteristics characteristics(Characteristics c) const noexcept override {
-    return c & ~(kSizeFacts | kSorted | kDistinct);
-  }
-
- private:
-  std::shared_ptr<const Fn> fn_;
 };
 
 template <typename T>

@@ -202,10 +202,16 @@ class ReduceSink final : public Sink<T> {
     }
   }
 
+  // The fold runs on a local, so the running value stays in a register
+  // between calls of an opaque op instead of a store and reload through
+  // acc_ per element.
   void accept_chunk(const T* values, std::size_t n) override {
+    if (n == 0) return;
     std::size_t i = 0;
-    if (!acc_.has_value() && n > 0) acc_ = values[i++];
-    for (; i < n; ++i) *acc_ = op_(std::move(*acc_), values[i]);
+    if (!acc_.has_value()) acc_ = values[i++];
+    T acc = std::move(*acc_);
+    for (; i < n; ++i) acc = op_(std::move(acc), values[i]);
+    *acc_ = std::move(acc);
   }
 
  private:
@@ -301,30 +307,33 @@ void fused_short_circuit_drive(FusedPipeline& fp, SinkT& sink) {
 
 // ---- leaves ----------------------------------------------------------
 
-/// Leaf-entry bookkeeping shared by the leaves: the element count the
-/// pipeline reports (countable_estimate) feeds the counters and the
-/// critical-path node, plus the fused tally.
-inline std::uint64_t fused_leaf_enter(const FusedPipeline& fp,
-                                      observe::CpNode* cp) {
-  const std::uint64_t elems = fp.countable_estimate();
-  observe::cp_add_elements(cp, elems);
-  observe::local_counters().on_leaf(elems);
-  observe::local_counters().on_fused_leaf();
-  return elems;
+/// Every leaf of the split-tree walk: drive `sink` (a terminal sink of the
+/// pipeline's output type) through `fp` under observed_leaf — accumulate
+/// span, leaf timer, critical-path phase, leaf counters — plus the fused
+/// tally. The leaf reports the element count the pipeline promises
+/// (countable_estimate), or the one `length` returns once the drive is
+/// done.
+template <typename SinkT, typename Length>
+void fused_leaf(FusedPipeline& fp, observe::CpNode* cp, SinkT& sink,
+                Length length) {
+  observed_leaf(length, cp, [&] {
+    observe::local_counters().on_fused_leaf();
+    fp.drive(sink);
+  });
+}
+
+template <typename SinkT>
+void fused_leaf(FusedPipeline& fp, observe::CpNode* cp, SinkT& sink) {
+  fused_leaf(fp, cp, sink, fp.countable_estimate());
 }
 
 template <typename T, typename C>
 typename C::accumulation_type fused_collect_leaf(
     FusedPipeline& fp, const C& c, observe::CpNode* cp = nullptr) {
-  const std::uint64_t elems = fp.countable_estimate();
-  observe::Span span(observe::EventKind::kAccumulate, elems);
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  fused_leaf_enter(fp, cp);
   auto acc = c.supply();
   observe::local_counters().on_allocation();
   CollectorSink<T, C> sink(c, acc);
-  fp.drive(sink);
+  fused_leaf(fp, cp, sink);
   return acc;
 }
 
@@ -344,13 +353,8 @@ void fused_collect_into_leaf(FusedPipeline& fp, const C& c,
   const std::uint64_t step = w->incr / root.incr;
   PLS_CHECK(w->count == 0 || base + (w->count - 1) * step < root.count,
             "destination window exceeds the result buffer");
-  const std::uint64_t elems = fp.countable_estimate();
-  observe::Span span(observe::EventKind::kAccumulate, elems);
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  fused_leaf_enter(fp, cp);
   DpsSink<T, C> s(c, sink, base, step);
-  fp.drive(s);
+  fused_leaf(fp, cp, s);
   PLS_CHECK(s.written() == w->count,
             "fused chunk yielded a different count than its window");
 }
@@ -358,38 +362,26 @@ void fused_collect_into_leaf(FusedPipeline& fp, const C& c,
 template <typename T, typename Op>
 std::optional<T> fused_reduce_leaf(FusedPipeline& fp, const Op& op,
                                    observe::CpNode* cp = nullptr) {
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  fused_leaf_enter(fp, cp);
   std::optional<T> acc;
   ReduceSink<T, Op> sink(op, acc);
-  fp.drive(sink);
+  fused_leaf(fp, cp, sink);
   return acc;
 }
 
 template <typename T, typename Fn>
 void fused_for_each_leaf(FusedPipeline& fp, const Fn& fn,
                          observe::CpNode* cp = nullptr) {
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  fused_leaf_enter(fp, cp);
   ForEachSink<T, Fn> sink(fn);
-  fp.drive(sink);
+  fused_leaf(fp, cp, sink);
 }
 
 /// Count reports the exact number it counted, not the estimate.
 template <typename T>
 std::uint64_t fused_count_leaf(FusedPipeline& fp,
                                observe::CpNode* cp = nullptr) {
-  observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
   CountSink<T> sink;
-  fp.drive(sink);
-  const std::uint64_t n = sink.count();
-  observe::cp_add_elements(cp, n);
-  observe::local_counters().on_leaf(n);
-  observe::local_counters().on_fused_leaf();
-  return n;
+  fused_leaf(fp, cp, sink, [&] { return sink.count(); });
+  return sink.count();
 }
 
 // ---- the split-tree walk ---------------------------------------------

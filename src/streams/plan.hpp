@@ -34,6 +34,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -869,13 +870,32 @@ auto run_synthesized(std::uint64_t length, std::uint64_t leaf_size,
 /// the leaf counters; a combine at `depth` runs `combine` under a combine
 /// span, the kCombineRun timer and the combine counter. `cp` (nullptr for
 /// none) takes the critical-path phases. All inert under PLS_OBSERVE=0.
-template <typename Fn>
-auto observed_leaf(std::uint64_t length, observe::CpNode* cp, Fn&& basic) {
-  observe::Span span(observe::EventKind::kAccumulate, length);
+///
+/// `length` is the leaf's element count, or — for a leaf that learns it
+/// only by running, a stream count over a filtering chain — a callable
+/// returning it. Either way the count is reported as the leaf closes.
+template <typename Length, typename Fn>
+auto observed_leaf(Length length, observe::CpNode* cp, Fn&& basic) {
+  struct Report {
+    Length& length;
+    observe::CpNode* cp;
+    observe::Span& span;
+    ~Report() {
+      std::uint64_t n = 0;
+      if constexpr (std::is_invocable_v<Length&>) {
+        n = length();
+      } else {
+        n = length;
+      }
+      span.set_arg(n);
+      observe::cp_add_elements(cp, n);
+      observe::local_counters().on_leaf(n);
+    }
+  };
+  observe::Span span(observe::EventKind::kAccumulate);
   observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
   observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::cp_add_elements(cp, length);
-  observe::local_counters().on_leaf(length);
+  const Report report{length, cp, span};
   return basic();
 }
 

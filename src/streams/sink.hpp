@@ -10,15 +10,16 @@
 // cancellation_requested() (how limit/takeWhile short-circuit upstream).
 //
 // Two transports:
-//  - accept(v): one element, one virtual call — the type-erased fallback,
-//    and the only transport for cancelling (short-circuit) chains, whose
-//    per-element cancellation checks must consume the source no deeper
-//    than the ops' semantics demand.
+//  - accept(v): one element, one virtual call — the fallback for element
+//    types that cannot sit in a scratch buffer, and the only transport
+//    for cancelling (short-circuit) chains, whose per-element
+//    cancellation checks must consume the source no deeper than the ops'
+//    semantics demand.
 //  - accept_chunk(p, n): a whole batch per virtual call. Stage sinks
-//    override it with an inlined loop over their concrete operator
-//    (MapSink applies Fn in a tight scratch loop, PeekSink forwards the
-//    same pointer), so a statically-known chain moves elements with zero
-//    per-element virtual hops between stages.
+//    override it with an inlined loop over their concrete operator. The
+//    stateless ops (map/filter/peek/flat_map) all run on one sink,
+//    StaticChainSink (streams/chain_stage.hpp), which inlines a whole op
+//    stack per chunk; the sinks here are the stateful and cancelling ones.
 //
 // Stage sinks hold their downstream by reference: a sink chain is composed
 // per leaf, used for one traversal, and destroyed (streams/fusion.hpp).
@@ -26,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <type_traits>
 #include <unordered_set>
@@ -82,197 +82,16 @@ class Sink : public SinkControl {
 
 // ---- stage sinks -----------------------------------------------------
 //
-// One class per intermediate operation, templated on the concrete
-// operator type so the chunk loops inline it. Each holds the shared
-// operator (the same shared_ptr every split leaf's chain shares) and the
-// downstream sink by reference.
-
-/// map: applies Fn(In) -> Out. Chunk mode maps into a scratch buffer and
-/// pushes whole Out-chunks downstream; falls back to per-element accept
-/// when Out cannot live in a vector (not move-constructible).
-template <typename In, typename Out, typename Fn>
-class MapSink final : public Sink<In> {
-  static constexpr bool kBatched = std::is_move_constructible_v<Out>;
-
- public:
-  MapSink(std::shared_ptr<const Fn> fn, Sink<Out>& down)
-      : fn_(std::move(fn)), down_(down) {
-    // Size the scratch once at construction: re-checking capacity on every
-    // accept_chunk call put a branch (and a cold reserve path) in front of
-    // each batch.
-    if constexpr (kBatched) scratch_.reserve(kFusionChunk);
-  }
-
-  void begin(std::uint64_t size) override { down_.begin(size); }
-  void end() override { down_.end(); }
-  bool cancellation_requested() const override {
-    return down_.cancellation_requested();
-  }
-
-  void accept(const In& value) override { down_.accept((*fn_)(value)); }
-
-  void accept_chunk(const In* values, std::size_t n) override {
-    if constexpr (kBatched) {
-      while (n > 0) {
-        const std::size_t m = n < kFusionChunk ? n : kFusionChunk;
-        scratch_.clear();
-        for (std::size_t i = 0; i < m; ++i)
-          scratch_.push_back((*fn_)(values[i]));
-        down_.accept_chunk(scratch_.data(), m);
-        values += m;
-        n -= m;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) accept(values[i]);
-    }
-  }
-
- private:
-  std::shared_ptr<const Fn> fn_;
-  Sink<Out>& down_;
-  std::vector<Out> scratch_;
-};
-
-/// filter: forwards elements satisfying Pred. Chunk mode compacts the
-/// kept elements into a scratch buffer; the downstream element count
-/// becomes unknown, so begin() forwards kUnknownSinkSize.
-template <typename T, typename Pred>
-class FilterSink final : public Sink<T> {
-  static constexpr bool kBatched = std::is_copy_constructible_v<T>;
-
- public:
-  FilterSink(std::shared_ptr<const Pred> pred, Sink<T>& down)
-      : pred_(std::move(pred)), down_(down) {
-    if constexpr (kBatched) scratch_.reserve(kFusionChunk);
-  }
-
-  void begin(std::uint64_t) override { down_.begin(kUnknownSinkSize); }
-  void end() override { down_.end(); }
-  bool cancellation_requested() const override {
-    return down_.cancellation_requested();
-  }
-
-  void accept(const T& value) override {
-    if ((*pred_)(value)) down_.accept(value);
-  }
-
-  void accept_chunk(const T* values, std::size_t n) override {
-    if constexpr (kBatched) {
-      while (n > 0) {
-        const std::size_t m = n < kFusionChunk ? n : kFusionChunk;
-        scratch_.clear();
-        for (std::size_t i = 0; i < m; ++i) {
-          if ((*pred_)(values[i])) scratch_.push_back(values[i]);
-        }
-        if (!scratch_.empty())
-          down_.accept_chunk(scratch_.data(), scratch_.size());
-        values += m;
-        n -= m;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) accept(values[i]);
-    }
-  }
-
- private:
-  std::shared_ptr<const Pred> pred_;
-  Sink<T>& down_;
-  std::vector<T> scratch_;
-};
-
-/// peek: observes and forwards. Chunk mode forwards the *same* pointer —
-/// zero copies, zero per-element hops beyond the observer itself.
-template <typename T, typename Fn>
-class PeekSink final : public Sink<T> {
- public:
-  PeekSink(std::shared_ptr<const Fn> observer, Sink<T>& down)
-      : observer_(std::move(observer)), down_(down) {}
-
-  void begin(std::uint64_t size) override { down_.begin(size); }
-  void end() override { down_.end(); }
-  bool cancellation_requested() const override {
-    return down_.cancellation_requested();
-  }
-
-  void accept(const T& value) override {
-    (*observer_)(value);
-    down_.accept(value);
-  }
-
-  void accept_chunk(const T* values, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) (*observer_)(values[i]);
-    down_.accept_chunk(values, n);
-  }
-
- private:
-  std::shared_ptr<const Fn> observer_;
-  Sink<T>& down_;
-};
-
-/// flat_map: the mapMulti-style multi-accept expansion. Fn(In) returns a
-/// container of Out; every expansion element is forwarded downstream in
-/// encounter order. Element mode pushes each expansion element as it is
-/// produced — on cancelling chains the whole expansion of the current
-/// source element is offered before the driver re-checks cancellation,
-/// so the source is pulled one expansion at a time. Chunk mode gathers expansions into a scratch buffer
-/// flushed in >= kFusionChunk batches; the downstream element count is
-/// unknowable, so begin() forwards kUnknownSinkSize.
-template <typename In, typename Out, typename Fn>
-class FlatMapSink final : public Sink<In> {
-  static constexpr bool kBatched = std::is_move_constructible_v<Out>;
-
- public:
-  FlatMapSink(std::shared_ptr<const Fn> fn, Sink<Out>& down)
-      : fn_(std::move(fn)), down_(down) {
-    if constexpr (kBatched) scratch_.reserve(kFusionChunk);
-  }
-
-  void begin(std::uint64_t) override { down_.begin(kUnknownSinkSize); }
-  void end() override { down_.end(); }
-  bool cancellation_requested() const override {
-    return down_.cancellation_requested();
-  }
-
-  void accept(const In& value) override {
-    for (const Out& out : (*fn_)(value)) down_.accept(out);
-  }
-
-  void accept_chunk(const In* values, std::size_t n) override {
-    if constexpr (kBatched) {
-      for (std::size_t i = 0; i < n; ++i) {
-        auto expansion = (*fn_)(values[i]);
-        scratch_.insert(scratch_.end(),
-                        std::make_move_iterator(expansion.begin()),
-                        std::make_move_iterator(expansion.end()));
-        // Flush on overflow, not exactly at kFusionChunk: an expansion is
-        // never split across two downstream batches, so downstream chunk
-        // loops may see slightly larger batches (they re-chunk anyway).
-        if (scratch_.size() >= kFusionChunk) flush();
-      }
-      flush();
-    } else {
-      for (std::size_t i = 0; i < n; ++i) accept(values[i]);
-    }
-  }
-
- private:
-  void flush() {
-    if (scratch_.empty()) return;
-    down_.accept_chunk(scratch_.data(), scratch_.size());
-    scratch_.clear();
-  }
-
-  std::shared_ptr<const Fn> fn_;
-  Sink<Out>& down_;
-  std::vector<Out> scratch_;
-};
+// One class per stateful or cancelling operation, templated on the
+// concrete operator type so the chunk loops inline it. Each holds the
+// shared operator (the same shared_ptr every split leaf's chain shares)
+// and the downstream sink by reference.
 
 /// distinct: hash-dedup keeping the first occurrence in encounter order.
-/// Stateful:
-/// the seen-set spans the whole traversal, so a chain containing this
-/// sink must be driven by exactly one leaf (the planner refuses to split
-/// it; see StageNode::stateful in streams/fusion.hpp). Chunk mode
-/// compacts the first occurrences like FilterSink.
+/// Stateful: the seen-set spans the whole traversal, so a chain containing
+/// this sink must be driven by exactly one leaf (the planner refuses to
+/// split it; see StageNode::stateful in streams/fusion.hpp). Chunk mode
+/// compacts the first occurrences of each kFusionChunk-input slice.
 template <typename T>
 class DistinctSink final : public Sink<T> {
   static constexpr bool kBatched = std::is_copy_constructible_v<T>;

@@ -4,8 +4,10 @@
 // of stage descriptors its intermediate operations appended
 // (streams/fusion.hpp) — and execution settings (sequential vs. parallel,
 // pool, chunk target). Each intermediate operation appends one StageNode
-// and returns the stream of the new element type; terminal operations
-// plan and drive the pipeline — a Stream, like Java's, is single-use.
+// (map/filter/peek/flat_map a one-op StaticChainStage,
+// streams/chain_stage.hpp) and returns the stream of the new element
+// type; terminal operations plan and drive the pipeline — a Stream, like
+// Java's, is single-use.
 //
 // Parallelism is requested exactly as in the paper's snippets: create the
 // stream from a spliterator with `parallel = true`
@@ -19,9 +21,11 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "streams/chain_stage.hpp"
 #include "streams/collector.hpp"
 #include "streams/fusion.hpp"
 #include "streams/parallel_eval.hpp"
@@ -208,29 +212,22 @@ class Stream {
 
   template <typename Fn>
   auto map(Fn fn) && {
-    using U = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
-    return then<U>(std::make_shared<MapStage<U, T, Fn>>(
-        std::make_shared<const Fn>(std::move(fn))));
+    return chain(stages::map(std::move(fn)));
   }
 
   template <typename Pred>
   Stream<T> filter(Pred pred) && {
-    return then<T>(std::make_shared<FilterStage<T, Pred>>(
-        std::make_shared<const Pred>(std::move(pred))));
+    return chain(stages::filter(std::move(pred)));
   }
 
   template <typename Fn>
   Stream<T> peek(Fn observer) && {
-    return then<T>(std::make_shared<PeekStage<T, Fn>>(
-        std::make_shared<const Fn>(std::move(observer))));
+    return chain(stages::peek(std::move(observer)));
   }
 
   template <typename Fn>
   auto flat_map(Fn fn) && {
-    using Vec = std::remove_cvref_t<std::invoke_result_t<Fn&, const T&>>;
-    using U = typename Vec::value_type;
-    return then<U>(std::make_shared<FlatMapStage<U, T, Fn>>(
-        std::make_shared<const Fn>(std::move(fn))));
+    return chain(stages::flat_map(std::move(fn)));
   }
 
   /// Truncate to at most n elements. A cancelling stage: the pipeline
@@ -279,9 +276,9 @@ class Stream {
   // ---- typed static pipeline -----------------------------------------
 
   /// Hand the stream's pipeline to a compile-time stage stack: the ops
-  /// (streams/static_fusion.hpp: stages::map/filter/peek values) become a
-  /// tuple type, and terminals run the whole chain as one inlined loop
-  /// per chunk with no virtual calls between stages. Defined in
+  /// (streams/chain_stage.hpp: stages::map/filter/peek/flat_map values)
+  /// become a tuple type, and terminals run the whole chain as one
+  /// inlined loop per chunk with no virtual calls between stages. Defined in
   /// streams/static_fusion.hpp (include it, or pls.hpp, to use).
   template <typename... Ops>
   auto stages(Ops&&... ops) &&;
@@ -423,6 +420,15 @@ class Stream {
     auto fp = take();
     fp->append_stage(std::move(stage));
     return Stream<U>(std::move(fp), parallel_, config_);
+  }
+
+  /// Append the one-op chain stage of a stateless op (map, filter, peek,
+  /// flat_map; streams/chain_stage.hpp).
+  template <typename Op>
+  Stream<chain_output_t<T, Op>> chain(Op op) {
+    return then<chain_output_t<T, Op>>(
+        std::make_shared<StaticChainStage<T, Op>>(
+            std::make_shared<const std::tuple<Op>>(std::move(op))));
   }
 
   /// A stream with these settings over a fresh source.

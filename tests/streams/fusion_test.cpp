@@ -16,10 +16,12 @@
 #include <numeric>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "forkjoin/pool.hpp"
 #include "observe/counters.hpp"
+#include "streams/collector.hpp"
 #include "streams/sink.hpp"
 #include "streams/spliterators.hpp"
 #include "streams/stream.hpp"
@@ -423,6 +425,74 @@ TEST(Fusion, LargeArrayChunksSpanMultipleFusionBuffers) {
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(out[i], (i * i) ^ 0xdeadbeef) << "i=" << i;
   }
+}
+
+// ---- downstream batches of the stateless stages ----------------------
+
+/// One terminal-sink call: the pointer and length of an accept_chunk, or
+/// length 0 for a single-element accept.
+using Batch = std::pair<const long*, std::size_t>;
+
+/// A chunk-accumulating collector that logs every call its terminal sink
+/// receives instead of folding anything.
+struct BatchLog final : pls::streams::Collector<long, std::vector<Batch>> {
+  std::vector<Batch> supply() const override { return {}; }
+  void accumulate(std::vector<Batch>& log, const long& v) const override {
+    log.emplace_back(&v, 0);
+  }
+  void accumulate_chunk(std::vector<Batch>& log, const long* p,
+                        std::size_t n) const {
+    log.emplace_back(p, n);
+  }
+  void combine(std::vector<Batch>& left,
+               std::vector<Batch>& right) const override {
+    left.insert(left.end(), right.begin(), right.end());
+  }
+};
+
+std::vector<std::size_t> batch_sizes(const std::vector<Batch>& log) {
+  std::vector<std::size_t> sizes;
+  for (const Batch& b : log) sizes.push_back(b.second);
+  return sizes;
+}
+
+TEST(Fusion, StatelessStagesDeliverPinnedBatches) {
+  // A boundary-sensitive chunk fold (the Horner kernel) sees exactly these
+  // batches, so they are part of each op's contract. 2500 array elements
+  // arrive as one contiguous span.
+  static_assert(pls::streams::kFusionChunk == 1024);
+  const auto data = std::make_shared<const std::vector<long>>(iota(2500));
+  const auto source = [&] { return Stream<long>::of_shared(data); };
+
+  // map: one batch per kFusionChunk-input slice.
+  const auto mapped_log =
+      source().map([](long v) { return v * 3; }).collect(BatchLog{});
+  EXPECT_EQ(batch_sizes(mapped_log),
+            (std::vector<std::size_t>{1024, 1024, 452}));
+
+  // filter: each slice compacted, an emptied slice dropped (1..1024 all
+  // fail, 1101..2048 and 2049..2500 pass).
+  const auto filtered_log =
+      source().filter([](long v) { return v > 1100; }).collect(BatchLog{});
+  EXPECT_EQ(batch_sizes(filtered_log),
+            (std::vector<std::size_t>{948, 452}));
+
+  // peek: the source span itself, pointer and length.
+  const auto peeked_log =
+      source().peek([](const long&) {}).collect(BatchLog{});
+  ASSERT_EQ(peeked_log.size(), 1u);
+  EXPECT_EQ(peeked_log[0], Batch(data->data(), 2500));
+
+  // flat_map: expansions gathered until the buffer reaches kFusionChunk
+  // (342 inputs x 3 = 1026), never splitting one expansion, then the rest.
+  const auto expanded_log = source()
+                                .flat_map([](const long& v) {
+                                  return std::vector<long>{v, v, v};
+                                })
+                                .collect(BatchLog{});
+  EXPECT_EQ(batch_sizes(expanded_log),
+            (std::vector<std::size_t>{1026, 1026, 1026, 1026, 1026, 1026,
+                                      1026, 318}));
 }
 
 // ---- the pull view (into_spliterator) --------------------------------

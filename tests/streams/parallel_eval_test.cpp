@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <string>
 
+#include "observe/counters.hpp"
+#include "observe/trace.hpp"
 #include "streams/collectors.hpp"
 #include "streams/stream.hpp"
 
@@ -92,6 +95,51 @@ TEST_P(ParallelEquivalence, ForEachVisitsEachElementOnce) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ParallelEquivalence,
                          ::testing::Values(0, 1, 2, 3, 7, 8, 64, 100, 1024,
                                            4096, 10000));
+
+TEST(ParallelEval, EveryLeafRecordsOneAccumulateSpan) {
+  // Each terminal's leaves run under the one per-leaf helper, so a traced
+  // run has exactly one accumulate span per counted leaf.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  using pls::observe::EventKind;
+  using pls::observe::TraceRecorder;
+  ForkJoinPool pool(3);
+  const auto data = std::make_shared<const std::vector<long>>(4096, 1L);
+  const auto source = [&] {
+    return Stream<long>::of_shared(data).parallel().via(pool).with_min_chunk(
+        256);
+  };
+  const auto plus = [](long a, long b) { return a + b; };
+  const auto keep = [](long) { return true; };
+  const auto summing = collectors::summing<long>();
+  const std::vector<std::pair<std::string, std::function<void()>>> terminals =
+      {{"collect", [&] { (void)source().collect(summing); }},
+       {"collect_into", [&] { (void)source().to_vector(); }},
+       {"reduce", [&] { (void)source().reduce(plus); }},
+       {"count", [&] { (void)source().filter(keep).count(); }},
+       {"for_each", [&] { source().for_each([](const long&) {}); }}};
+  auto& rec = TraceRecorder::global();
+  for (const auto& [name, run] : terminals) {
+    rec.disable();
+    rec.clear();
+    const auto before = pls::observe::aggregate_counters();
+    rec.enable();
+    run();
+    rec.disable();
+    const auto delta = pls::observe::aggregate_counters() - before;
+    std::uint64_t spans = 0;
+    std::uint64_t span_elements = 0;
+    for (const auto& e : rec.events()) {
+      if (e.kind != EventKind::kAccumulate) continue;
+      ++spans;
+      span_elements += e.arg;
+    }
+    EXPECT_EQ(delta.leaf_chunks, 16u) << name;
+    EXPECT_EQ(spans, delta.leaf_chunks) << name;
+    EXPECT_EQ(span_elements, delta.elements_accumulated) << name;
+    EXPECT_EQ(delta.elements_accumulated, 4096u) << name;
+  }
+  rec.clear();
+}
 
 TEST(ParallelEval, ExplicitPoolIsUsed) {
   ForkJoinPool pool(3);

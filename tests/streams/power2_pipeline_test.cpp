@@ -9,11 +9,13 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "powerlist/collector_functions.hpp"
 #include "powerlist/spliterators.hpp"
+#include "streams/static_fusion.hpp"
 #include "streams/stream.hpp"
 
 namespace {
@@ -73,7 +75,9 @@ TEST(Power2Pipeline, LimitDropsIt) {
 /// masks and sizes each op has always reported: one row per op over a
 /// 64-element zip source (which carries POWER2 and INTERLEAVED), plus a
 /// range source (which carries SORTED and DISTINCT) for the ops that
-/// drop or keep those.
+/// drop or keep those. The stateless ops also appear in their static
+/// spelling (`.stages(stages::X(...)).to_stream()`), which must report
+/// exactly what the dynamic op does.
 TEST(Power2Pipeline, CharacteristicsPerOpMatchTable) {
   using namespace pls::streams;
   constexpr Characteristics kZip =
@@ -88,6 +92,10 @@ TEST(Power2Pipeline, CharacteristicsPerOpMatchTable) {
   const auto range = [] { return Stream<long>::range(0, 64); };
   const auto keep = [](const auto&) { return true; };
   const auto small = [](const auto& v) { return v < 10; };
+  const auto twice = [](const auto& v) {
+    return std::vector<std::decay_t<decltype(v)>>{v, v};
+  };
+  namespace st = pls::streams::stages;
   struct Row {
     std::string op;
     std::function<Facts()> actual;
@@ -108,6 +116,25 @@ TEST(Power2Pipeline, CharacteristicsPerOpMatchTable) {
          return facts(zip().flat_map(
              [](const double& d) { return std::vector<double>{d, d}; }));
        },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.stages(map)",
+       [&] {
+         return facts(zip()
+                          .stages(st::map([](double d) { return d + 1; }))
+                          .to_stream());
+       },
+       {kZip, 64}},
+      {"zip.stages(peek)",
+       [&] {
+         return facts(
+             zip().stages(st::peek([](const double&) {})).to_stream());
+       },
+       {kZip, 64}},
+      {"zip.stages(filter)",
+       [&] { return facts(zip().stages(st::filter(keep)).to_stream()); },
+       {kOrdered | kImmutable | kInterleaved, 64}},
+      {"zip.stages(flat_map)",
+       [&] { return facts(zip().stages(st::flat_map(twice)).to_stream()); },
        {kOrdered | kImmutable | kInterleaved, 64}},
       {"zip.limit(10)", [&] { return facts(zip().limit(10)); },
        {kOrdered | kSized | kImmutable | kInterleaved, 10}},
@@ -136,6 +163,31 @@ TEST(Power2Pipeline, CharacteristicsPerOpMatchTable) {
        {kOrdered | kSized | kSubsized | kImmutable, 64}},
       {"range.filter", [&] { return facts(range().filter(keep)); },
        {kOrdered | kImmutable | kDistinct | kSorted, 64}},
+      {"range.stages(map)",
+       [&] {
+         return facts(range()
+                          .stages(st::map([](long v) { return v * 2; }))
+                          .to_stream());
+       },
+       {kOrdered | kSized | kSubsized | kImmutable, 64}},
+      {"range.peek", [&] { return facts(range().peek([](const long&) {})); },
+       {kRange, 64}},
+      {"range.stages(peek)",
+       [&] {
+         return facts(
+             range().stages(st::peek([](const long&) {})).to_stream());
+       },
+       {kRange, 64}},
+      {"range.stages(filter)",
+       [&] { return facts(range().stages(st::filter(keep)).to_stream()); },
+       {kOrdered | kImmutable | kDistinct | kSorted, 64}},
+      {"range.flat_map", [&] { return facts(range().flat_map(twice)); },
+       {kOrdered | kImmutable, 64}},
+      {"range.stages(flat_map)",
+       [&] {
+         return facts(range().stages(st::flat_map(twice)).to_stream());
+       },
+       {kOrdered | kImmutable, 64}},
       {"range.limit(70)", [&] { return facts(range().limit(70)); },
        {kOrdered | kSized | kImmutable | kDistinct | kSorted, 64}},
       {"range.distinct", [&] { return facts(range().distinct()); },

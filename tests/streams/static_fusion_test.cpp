@@ -212,6 +212,85 @@ TEST(StaticPipeline, OverRangeAndShared) {
   EXPECT_EQ(a.back(), 16);
 }
 
+/// Logs the length of every chunk its terminal sink receives (0 for a
+/// single-element accept).
+struct ChunkSizes final
+    : streams::Collector<std::int64_t, std::vector<std::size_t>> {
+  std::vector<std::size_t> supply() const override { return {}; }
+  void accumulate(std::vector<std::size_t>& log,
+                  const std::int64_t&) const override {
+    log.push_back(0);
+  }
+  void accumulate_chunk(std::vector<std::size_t>& log, const std::int64_t*,
+                        std::size_t n) const {
+    log.push_back(n);
+  }
+  void combine(std::vector<std::size_t>& left,
+               std::vector<std::size_t>& right) const override {
+    left.insert(left.end(), right.begin(), right.end());
+  }
+};
+
+TEST(StaticPipeline, FlatMapBatchesAreBounded) {
+  // A fan-out-64 expansion flushes once the buffer reaches kFusionChunk,
+  // and one expansion is never split, so no batch exceeds
+  // kFusionChunk + 63 — in a multi-op stack as in a one-op stage.
+  const auto fan_out = [](const std::int64_t& v) {
+    return std::vector<std::int64_t>(64, v);
+  };
+  const auto sizes =
+      pls::pipe(pls::stages::flat_map(fan_out),
+                map([](std::int64_t v) { return v + 1; }))
+          .over(iota(4096))
+          .collect(ChunkSizes{});
+  std::size_t total = 0;
+  for (const std::size_t n : sizes) {
+    EXPECT_LE(n, streams::kFusionChunk + 63);
+    total += n;
+  }
+  EXPECT_EQ(total, 4096u * 64u);
+  const auto one_op = Stream<std::int64_t>::of(iota(4096))
+                          .stages(pls::stages::flat_map(fan_out))
+                          .collect(ChunkSizes{});
+  EXPECT_EQ(one_op, sizes);
+}
+
+/// Neither movable nor copyable: a map may produce it, but it cannot sit
+/// in a scratch buffer.
+struct Pinned {
+  explicit Pinned(std::int64_t v) : value(v) {}
+  Pinned(Pinned&&) = delete;
+  std::int64_t value;
+};
+
+/// Movable but not default-constructible.
+struct NoDefault {
+  explicit NoDefault(std::int64_t v) : value(v) {}
+  std::int64_t value;
+};
+
+TEST(StaticPipeline, ElementTypesThatCannotBeBufferedRunElementWise) {
+  std::int64_t pinned_sum = 0;
+  Stream<std::int64_t>::of(iota(3000))
+      .map([](const std::int64_t& v) { return Pinned(v); })
+      .for_each([&](const Pinned& p) { pinned_sum += p.value; });
+  EXPECT_EQ(pinned_sum, 2999 * 3000 / 2);
+
+  using Owned = std::unique_ptr<std::int64_t>;
+  std::int64_t owned_sum = 0;
+  Stream<std::int64_t>::of(iota(3000))
+      .map([](const std::int64_t& v) { return Owned(new std::int64_t(v)); })
+      .filter([](const Owned& p) { return *p % 2 == 0; })
+      .for_each([&](const Owned& p) { owned_sum += *p; });
+  EXPECT_EQ(owned_sum, 1499 * 1500);
+
+  const auto kept =
+      Stream<std::int64_t>::of(iota(3000))
+          .map([](const std::int64_t& v) { return NoDefault(v); })
+          .count();
+  EXPECT_EQ(kept, 3000u);
+}
+
 // ---- unified evaluate() dispatch (the deprecation satellite) ----------
 
 TEST(UnifiedEvaluate, TerminalDescriptorsMatchStreamTerminals) {
