@@ -2,10 +2,11 @@
 //
 // Tasks are intrusive: the pool's deques store RawTask pointers and never
 // own them. The two concrete kinds are
-//   - ChildTask<F>: stack-allocated by invoke_two/parallel_invoke; the
-//     spawning frame outlives the task by construction (it joins before
-//     returning), so no heap allocation happens on the fork path
-//     (Core Guidelines Per.14/Per.15).
+//   - ChildTask<F>: stack-allocated by invoke_two, the one fork (which
+//     streams::split_walk calls at every split node); the spawning frame
+//     outlives the task by construction (it joins before returning), so
+//     no heap allocation happens on the fork path (Core Guidelines
+//     Per.14/Per.15).
 //   - HeapTask<F>: heap-allocated for external submissions via
 //     ForkJoinPool::run, completion signalled through a promise.
 //   - DetachedTask<F>: heap-allocated for fire-and-forget submissions via

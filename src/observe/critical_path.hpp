@@ -314,6 +314,8 @@ class CpScope {
         start_(node != nullptr ? now_ticks() : 0) {}
   CpScope(const CpScope&) = delete;
   CpScope& operator=(const CpScope&) = delete;
+  /// Close without charging the phase.
+  void discard() noexcept { node_ = nullptr; }
   ~CpScope() {
     if (node_ != nullptr) node_->add_time(phase_, now_ticks() - start_);
   }
@@ -359,6 +361,7 @@ struct CpScope {
   CpScope(CpNode*, CpPhase) noexcept {}
   CpScope(const CpScope&) = delete;
   CpScope& operator=(const CpScope&) = delete;
+  void discard() noexcept {}
 };
 
 #endif  // PLS_OBSERVE

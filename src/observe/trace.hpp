@@ -259,6 +259,9 @@ class Span {
   /// Update the payload before the span closes (e.g. elements consumed).
   void set_arg(std::uint64_t arg) noexcept { arg_ = arg; }
 
+  /// Close without recording (the phase turned out not to happen).
+  void discard() noexcept { active_ = false; }
+
   ~Span() {
     if (active_) {
       const std::uint64_t end = now_ticks();
@@ -315,6 +318,7 @@ struct Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
   void set_arg(std::uint64_t) noexcept {}
+  void discard() noexcept {}
 };
 
 inline void instant(EventKind, std::uint64_t = 0) noexcept {}

@@ -16,8 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "forkjoin/parallel.hpp"
 #include "forkjoin/pool.hpp"
+#include "observe/critical_path.hpp"
 #include "plist/plist_view.hpp"
 #include "powerlist/function.hpp"
 #include "streams/plan.hpp"
@@ -63,39 +63,69 @@ class PListFunction {
 
 namespace detail {
 
-/// The n-way split-tree walk, instrumented per node like the PowerList
-/// walk (streams::observed_leaf / observed_combine).
+/// One node of a PList walk: a view and (a pointer to) its context, which
+/// the parent's parts or the entry point own.
+template <typename T, typename Ctx>
+struct PListNode {
+  PListView<const T> view;
+  const Ctx* ctx;
+};
+
+/// The parts of a split node and their descended contexts.
+template <typename T, typename Ctx>
+struct PListParts {
+  std::vector<PListView<const T>> views;
+  std::vector<Ctx> contexts;
+
+  std::size_t size() const { return views.size(); }
+  PListNode<T, Ctx> operator[](std::size_t k) const {
+    return {views[k], &contexts[k]};
+  }
+};
+
+/// `f`'s hooks on streams::split_walk: a node splits arity(length) ways
+/// with the function's decomposition operator unless it is at most
+/// `leaf_size` long or the arity does not divide it; leaves run
+/// basic_case and the parts recombine with combine_n, both observed
+/// (streams::observed_leaf / observed_combine). With `pool == nullptr`
+/// the parts run inline, in encounter order.
 template <typename T, typename R, typename Ctx>
-R run_plist(forkjoin::ForkJoinPool* pool, const PListFunction<T, R, Ctx>& f,
-            PListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
-            std::size_t fork_grain, unsigned depth) {
-  const std::size_t n = f.arity(input.length());
-  if (input.length() <= leaf_size || n < 2 || !input.divisible_by(n) ||
-      input.length() / n == 0 || input.length() == 1) {
-    return streams::observed_leaf(input.length(), nullptr,
-                                  [&] { return f.basic_case(input, ctx); });
-  }
-  const auto parts = f.decomposition() == NWayOp::kTie ? input.tie_n(n)
-                                                       : input.zip_n(n);
-  const auto contexts = f.descend_n(ctx, input.length(), n);
-  PLS_CHECK(contexts.size() == n, "descend_n must return arity contexts");
-  observe::local_counters().on_split(depth);
-  std::vector<std::optional<R>> results(n);
-  const auto run_part = [&](std::size_t k) {
-    results[k].emplace(run_plist(pool, f, parts[k], contexts[k], leaf_size,
-                                 fork_grain, depth + 1));
-  };
-  if (pool != nullptr && input.length() > fork_grain) {
-    forkjoin::detail_for(*pool, std::size_t{0}, n, std::size_t{1}, run_part);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) run_part(k);
-  }
-  std::vector<R> collected;
-  collected.reserve(n);
-  for (auto& r : results) collected.push_back(std::move(*r));
-  return streams::observed_combine(depth, nullptr, [&] {
-    return f.combine_n(std::move(collected), ctx, input.length());
-  });
+R walk(forkjoin::ForkJoinPool* pool, const PListFunction<T, R, Ctx>& f,
+       PListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
+       observe::CpNode* cp) {
+  using Node = PListNode<T, Ctx>;
+  return streams::split_walk(
+      pool, Node{input, &ctx}, 0, cp,
+      [&](const Node& node) -> std::optional<PListParts<T, Ctx>> {
+        const std::size_t length = node.view.length();
+        const std::size_t n = f.arity(length);
+        if (length <= leaf_size || n < 2 || !node.view.divisible_by(n) ||
+            length / n == 0 || length == 1) {
+          return std::nullopt;
+        }
+        PListParts<T, Ctx> parts;
+        parts.views = f.decomposition() == NWayOp::kTie ? node.view.tie_n(n)
+                                                        : node.view.zip_n(n);
+        parts.contexts = f.descend_n(*node.ctx, length, n);
+        PLS_CHECK(parts.contexts.size() == n,
+                  "descend_n must return arity contexts");
+        return parts;
+      },
+      [&](const Node& node, observe::CpNode* at) {
+        return streams::observed_leaf(node.view.length(), at, [&] {
+          return f.basic_case(node.view, *node.ctx);
+        });
+      },
+      [&](const Node& node, auto& results, unsigned depth,
+          observe::CpNode* at) {
+        std::vector<R> collected;
+        collected.reserve(results.size());
+        for (R& r : results) collected.push_back(std::move(r));
+        return streams::observed_combine(depth, at, [&] {
+          return f.combine_n(std::move(collected), *node.ctx,
+                             node.view.length());
+        });
+      });
 }
 
 }  // namespace detail
@@ -105,7 +135,7 @@ R execute_sequential(const PListFunction<T, R, Ctx>& f,
                      PListView<const T> input, Ctx ctx = Ctx{},
                      std::size_t leaf_size = 1) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
-  return detail::run_plist(nullptr, f, input, ctx, leaf_size, 0, 0);
+  return detail::walk(nullptr, f, input, ctx, leaf_size, nullptr);
 }
 
 /// Parallel execution; like powerlist::execute_forkjoin it records its
@@ -114,15 +144,14 @@ template <typename T, typename R, typename Ctx>
 R execute_forkjoin(forkjoin::ForkJoinPool& pool,
                    const PListFunction<T, R, Ctx>& f,
                    PListView<const T> input, Ctx ctx = Ctx{},
-                   std::size_t leaf_size = 1, std::size_t fork_grain = 1) {
+                   std::size_t leaf_size = 1) {
   PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
   const auto arity = static_cast<unsigned>(f.arity(input.length()));
   return streams::run_synthesized(
       input.length(), leaf_size, pool.parallelism(), arity, [&] {
-        return pool.run([&] {
-          return detail::run_plist(&pool, f, input, ctx, leaf_size,
-                                   fork_grain, 0);
-        });
+        observe::CpNode* cp = observe::cp_new_root();
+        return pool.run(
+            [&] { return detail::walk(&pool, f, input, ctx, leaf_size, cp); });
       });
 }
 

@@ -106,7 +106,7 @@ class NZipSpliterator final : public powerlist::SpliteratorPower2<T> {
 /// splitting `arity` ways at each level where the source can and in two
 /// where it refuses. This is an ordinary collect terminal: the planner
 /// decides DPS and grain, the plan (carrying the arity) is recorded with
-/// one RunRecord, and streams' split_tree walks it.
+/// one RunRecord, and streams::split_walk walks it.
 ///
 /// On the supplier/combiner path the parts of each split combine pairwise
 /// in a balanced tree over encounter order. The collector associativity

@@ -9,7 +9,7 @@
 // Module map (see DESIGN.md for the full inventory):
 //   support/    bits, RNG, stopwatch, stats, function_ref, tables
 //   observe/    per-worker counters + span tracing (PLS_OBSERVE switch)
-//   forkjoin/   work-stealing ForkJoinPool, parallel_for/reduce/invoke
+//   forkjoin/   work-stealing ForkJoinPool, its invoke_two fork-join primitive
 //   simmachine/ task-trace recorder + virtual-multicore scheduler
 //   streams/    Spliterator, Stream, Collector, collectors, unsized
 //   service/    long-lived push-mode sessions: ingest queues with
@@ -31,7 +31,6 @@
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
 
-#include "forkjoin/parallel.hpp"
 #include "forkjoin/pool.hpp"
 
 #include "simmachine/costmodel.hpp"

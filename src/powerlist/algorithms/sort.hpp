@@ -161,7 +161,7 @@ void bitonic_sort(std::vector<T>& v, Cmp cmp = Cmp{}) {
 /// phases (the simplest PowerList-expressible sorting network, the 1-D
 /// systolic sort). O(n^2) comparators but O(n) depth with O(n)
 /// processors; each phase's exchanges are independent, so a phase maps
-/// to a parallel_for. Kept sequential here as the didactic reference.
+/// to a parallel loop. Kept sequential here as the didactic reference.
 template <typename T, typename Cmp = std::less<T>>
 void odd_even_transposition_sort(std::vector<T>& v, Cmp cmp = Cmp{}) {
   const std::size_t n = v.size();

@@ -2,8 +2,9 @@
 //
 // JPLF's key design point (Section III) is that execution is managed
 // separately from function definition; these executors all consume the
-// same PowerFunction interface and run the same split-tree walk,
-// detail::run:
+// same PowerFunction interface and run it on the one split-tree walk,
+// streams::split_walk (streams/plan.hpp), which the streams evaluator,
+// the PList skeleton and the JPLF layer share:
 //   execute_sequential — the walk with both halves inline, depth first;
 //   execute_forkjoin   — the walk with both halves through
 //                        ForkJoinPool::invoke_two;
@@ -21,6 +22,7 @@
 // simulation (src/mpisim/power_executor.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <type_traits>
@@ -40,51 +42,44 @@ namespace pls::powerlist {
 
 namespace detail {
 
-/// The split-tree walk. With `pool == nullptr` both halves run inline,
-/// left first; otherwise they run through `pool->invoke_two`. Spans,
-/// latency timers, counters and critical-path phases are recorded on both
-/// paths (streams::observed_leaf / observed_combine; `cp == nullptr`
-/// disables the phases).
-template <typename T, typename R, typename Ctx>
-R run(forkjoin::ForkJoinPool* pool, const PowerFunction<T, R, Ctx>& f,
-      PowerListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
-      unsigned depth, observe::CpNode* cp) {
-  if (input.length() <= leaf_size) {
-    return streams::observed_leaf(input.length(), cp,
-                                  [&] { return f.basic_case(input, ctx); });
-  }
-  const std::uint64_t split_start = cp != nullptr ? observe::now_ticks() : 0;
-  const auto [left_view, right_view] = input.split(f.decomposition());
-  auto [left_ctx, right_ctx] = f.descend(ctx, input.length());
-  if (cp != nullptr) {
-    cp->add_time(observe::CpPhase::kSplit, observe::now_ticks() - split_start);
-  }
-  observe::local_counters().on_split(depth);
-  const auto [cl, cr] = observe::cp_fork(cp);
-  std::optional<R> left;
-  std::optional<R> right;
-  auto run_left = [&, cl = cl] {
-    left.emplace(run(pool, f, left_view, left_ctx, leaf_size, depth + 1, cl));
-  };
-  auto run_right = [&, cr = cr] {
-    right.emplace(
-        run(pool, f, right_view, right_ctx, leaf_size, depth + 1, cr));
-  };
-  if (pool != nullptr) {
-    pool->invoke_two(run_left, run_right);
-  } else {
-    run_left();
-    run_right();
-  }
-  return streams::observed_combine(depth, cp, [&] {
-    return f.combine(std::move(*left), std::move(*right), ctx,
-                     input.length());
-  });
-}
+/// One node of a PowerFunction walk: a view and its descended context.
+template <typename T, typename Ctx>
+struct PowerNode {
+  PowerListView<const T> view;
+  Ctx ctx;
+};
 
-inline std::size_t checked_leaf_size(std::size_t leaf_size) {
-  PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
-  return leaf_size;
+/// `f`'s hooks on streams::split_walk: a node above `leaf_size` splits
+/// with the function's decomposition operator and descends its context;
+/// leaves run basic_case and halves recombine with combine, both observed
+/// (streams::observed_leaf / observed_combine). With `pool == nullptr`
+/// both halves run inline, left first.
+template <typename T, typename R, typename Ctx>
+R walk(forkjoin::ForkJoinPool* pool, const PowerFunction<T, R, Ctx>& f,
+       PowerListView<const T> input, const Ctx& ctx, std::size_t leaf_size,
+       observe::CpNode* cp) {
+  using Node = PowerNode<T, Ctx>;
+  return streams::split_walk(
+      pool, Node{input, ctx}, 0, cp,
+      [&](const Node& node) -> std::optional<std::array<Node, 2>> {
+        if (node.view.length() <= leaf_size) return std::nullopt;
+        const auto [l, r] = node.view.split(f.decomposition());
+        auto [lc, rc] = f.descend(node.ctx, node.view.length());
+        return std::array<Node, 2>{Node{l, std::move(lc)},
+                                   Node{r, std::move(rc)}};
+      },
+      [&](const Node& node, observe::CpNode* at) {
+        return streams::observed_leaf(node.view.length(), at, [&] {
+          return f.basic_case(node.view, node.ctx);
+        });
+      },
+      [&](const Node& node, auto& halves, unsigned depth,
+          observe::CpNode* at) {
+        return streams::observed_combine(depth, at, [&] {
+          return f.combine(std::move(halves[0]), std::move(halves[1]),
+                           node.ctx, node.view.length());
+        });
+      });
 }
 
 }  // namespace detail
@@ -95,10 +90,10 @@ template <typename TV, typename R, typename Ctx>
 R execute_sequential(
     const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
     PowerListView<TV> input, Ctx ctx = Ctx{}, std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
-  return detail::run(nullptr, f,
-                     PowerListView<const std::remove_const_t<TV>>(input), ctx,
-                     leaf_size, 0, nullptr);
+  PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
+  return detail::walk(nullptr, f,
+                      PowerListView<const std::remove_const_t<TV>>(input),
+                      ctx, leaf_size, nullptr);
 }
 
 /// Parallel execution on a fork-join pool. The function's hooks run
@@ -110,14 +105,13 @@ R execute_forkjoin(forkjoin::ForkJoinPool& pool,
                    const PowerFunction<std::remove_const_t<TV>, R, Ctx>& f,
                    PowerListView<TV> input, Ctx ctx = Ctx{},
                    std::size_t leaf_size = 1) {
-  detail::checked_leaf_size(leaf_size);
+  PLS_CHECK(leaf_size >= 1, "leaf size must be >= 1");
   PowerListView<const std::remove_const_t<TV>> view(input);
   return streams::run_synthesized(
       input.length(), leaf_size, pool.parallelism(), 2, [&] {
         observe::CpNode* cp = observe::cp_new_root();
-        return pool.run([&] {
-          return detail::run(&pool, f, view, ctx, leaf_size, 0, cp);
-        });
+        return pool.run(
+            [&] { return detail::walk(&pool, f, view, ctx, leaf_size, cp); });
       });
 }
 

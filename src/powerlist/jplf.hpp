@@ -14,17 +14,20 @@
 //     the polynomial's squared point, without a context parameter).
 //
 // The template method `compute` implements the solving strategy; the
-// parallel variant forks the two sub-computations on a pool.
+// parallel variant forks the two sub-computations on a pool. Both run on
+// the split-tree walk every skeleton shares (streams::split_walk).
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 
 #include "forkjoin/pool.hpp"
+#include "observe/critical_path.hpp"
 #include "powerlist/view.hpp"
-#include "support/assert.hpp"
+#include "streams/plan.hpp"
 
 namespace pls::powerlist::jplf {
 
@@ -101,47 +104,70 @@ class JplfPowerFunction {
   virtual std::size_t basic_threshold() const { return 1; }
 
   /// The template method: the divide-and-conquer solving strategy.
-  R compute(const BasePowerList<T>& list) {
-    if (list.length() <= basic_threshold()) {
-      return basic_case(list);
-    }
-    auto [left_list, right_list] = list.deconstruct();
-    auto left_fn = create_left_function();
-    auto right_fn = create_right_function();
-    R left = left_fn->compute(*left_list);
-    R right = right_fn->compute(*right_list);
-    return combine(std::move(left), std::move(right));
-  }
+  R compute(const BasePowerList<T>& list) { return walk(nullptr, list); }
 
   /// Parallel solving strategy: same decomposition, the two
   /// sub-computations forked on the pool. Sub-function objects are
   /// per-branch (fresh from create_*_function), so no sharing is needed;
-  /// basic_case/combine of *distinct objects* run concurrently.
+  /// basic_case/combine of *distinct objects* run concurrently. Like
+  /// execute_forkjoin, the run records its synthesized plan (grain: this
+  /// function's basic_threshold()) and appends one RunRecord.
   R compute_parallel(forkjoin::ForkJoinPool& pool,
                      const BasePowerList<T>& list) {
-    return pool.run([&] { return compute_parallel_impl(pool, list); });
+    return streams::run_synthesized(
+        list.length(), basic_threshold(), pool.parallelism(), 2, [&] {
+          observe::CpNode* cp = observe::cp_new_root();
+          return pool.run([&] { return walk(&pool, list, cp); });
+        });
   }
 
  private:
-  R compute_parallel_impl(forkjoin::ForkJoinPool& pool,
-                          const BasePowerList<T>& list) {
-    if (list.length() <= basic_threshold()) {
-      return basic_case(list);
+  /// One node of the walk: the list and the function object solving it.
+  struct Node {
+    JplfPowerFunction* fn;
+    const BasePowerList<T>* list;
+  };
+
+  /// A split node's deconstructed halves and their function objects.
+  struct Parts {
+    std::unique_ptr<BasePowerList<T>> lists[2];
+    std::unique_ptr<JplfPowerFunction> fns[2];
+
+    std::size_t size() const { return 2; }
+    Node operator[](std::size_t k) const {
+      return {fns[k].get(), lists[k].get()};
     }
-    auto [left_list, right_list] = list.deconstruct();
-    auto left_fn = create_left_function();
-    auto right_fn = create_right_function();
-    std::optional<R> left;
-    std::optional<R> right;
-    pool.invoke_two(
-        [&] {
-          left.emplace(left_fn->compute_parallel_impl(pool, *left_list));
+  };
+
+  /// The JPLF hooks on streams::split_walk: each node's own
+  /// basic_threshold() decides its leaf, its list deconstructs itself,
+  /// and its create_*_function objects solve the halves.
+  R walk(forkjoin::ForkJoinPool* pool, const BasePowerList<T>& list,
+         observe::CpNode* cp = nullptr) {
+    return streams::split_walk(
+        pool, Node{this, &list}, 0, cp,
+        [](const Node& node) -> std::optional<Parts> {
+          if (node.list->length() <= node.fn->basic_threshold()) {
+            return std::nullopt;
+          }
+          Parts parts;
+          std::tie(parts.lists[0], parts.lists[1]) = node.list->deconstruct();
+          parts.fns[0] = node.fn->create_left_function();
+          parts.fns[1] = node.fn->create_right_function();
+          return parts;
         },
-        [&] {
-          right.emplace(
-              right_fn->compute_parallel_impl(pool, *right_list));
+        [](const Node& node, observe::CpNode* at) {
+          return streams::observed_leaf(node.list->length(), at, [&] {
+            return node.fn->basic_case(*node.list);
+          });
+        },
+        [](const Node& node, auto& halves, unsigned depth,
+           observe::CpNode* at) {
+          return streams::observed_combine(depth, at, [&] {
+            return node.fn->combine(std::move(halves[0]),
+                                    std::move(halves[1]));
+          });
         });
-    return combine(std::move(*left), std::move(*right));
   }
 };
 

@@ -11,8 +11,9 @@
 // divide-and-conquer template the paper builds PowerList functions on.
 // try_split returns the *prefix*, so the left child of every fork is the
 // earlier half: combining left <- right preserves encounter order for
-// non-commutative combiners. One split-tree walk (split_tree) serves every
-// terminal; the terminals differ only in their leaf action and combine.
+// non-commutative combiners. One split-tree walk (split_walk,
+// streams/plan.hpp) serves every terminal and every divide-and-conquer
+// skeleton; the terminals differ only in their leaf action and combine.
 //
 // collect has a second execution model, destination-passing style (DPS):
 // when the collector is a sized sink (streams/sized_sink.hpp) and the
@@ -25,6 +26,7 @@
 // take the supplier/combiner path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -249,14 +251,24 @@ class CountSink final : public Sink<T> {
 // cancellation_requested() the moment its answer is decided; the
 // element-mode driver (FusedPipeline::drive_short_circuit) checks it
 // between source elements, so no source element past the deciding one is
-// consumed.
+// consumed. Each counts the elements it accepted, which its leaf reports.
+
+template <typename T>
+class ShortCircuitSink : public Sink<T> {
+ public:
+  std::uint64_t accepted() const noexcept { return accepted_; }
+
+ protected:
+  std::uint64_t accepted_ = 0;
+};
 
 template <typename T, typename Pred>
-class AnyMatchSink final : public Sink<T> {
+class AnyMatchSink final : public ShortCircuitSink<T> {
  public:
   AnyMatchSink(const Pred& pred, bool& found) : pred_(pred), found_(found) {}
 
   void accept(const T& value) override {
+    ++this->accepted_;
     if (!found_ && pred_(value)) found_ = true;
   }
   bool cancellation_requested() const override { return found_; }
@@ -266,27 +278,13 @@ class AnyMatchSink final : public Sink<T> {
   bool& found_;
 };
 
-template <typename T, typename Pred>
-class AllMatchSink final : public Sink<T> {
- public:
-  AllMatchSink(const Pred& pred, bool& ok) : pred_(pred), ok_(ok) {}
-
-  void accept(const T& value) override {
-    if (ok_ && !pred_(value)) ok_ = false;
-  }
-  bool cancellation_requested() const override { return !ok_; }
-
- private:
-  const Pred& pred_;
-  bool& ok_;
-};
-
 template <typename T>
-class FindFirstSink final : public Sink<T> {
+class FindFirstSink final : public ShortCircuitSink<T> {
  public:
   explicit FindFirstSink(std::optional<T>& out) : out_(out) {}
 
   void accept(const T& value) override {
+    ++this->accepted_;
     if (!out_.has_value()) out_ = value;
   }
   bool cancellation_requested() const override { return out_.has_value(); }
@@ -296,13 +294,15 @@ class FindFirstSink final : public Sink<T> {
 };
 
 /// Drive a short-circuit terminal sink over a fused pipeline. Always one
-/// element-mode leaf on the calling thread — encounter-order semantics.
-template <typename T, typename SinkT>
-void fused_short_circuit_drive(FusedPipeline& fp, SinkT& sink) {
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  observe::Span span(observe::EventKind::kAccumulate, 0);
-  observe::local_counters().on_fused_leaf();
-  fp.drive_short_circuit(sink);
+/// element-mode leaf on the calling thread — encounter-order semantics —
+/// reporting the elements the sink accepted.
+template <typename T>
+void fused_short_circuit_drive(FusedPipeline& fp,
+                               ShortCircuitSink<T>& sink) {
+  observed_leaf([&] { return sink.accepted(); }, nullptr, [&] {
+    observe::local_counters().on_fused_leaf();
+    fp.drive_short_circuit(sink);
+  });
 }
 
 // ---- leaves ----------------------------------------------------------
@@ -384,111 +384,83 @@ std::uint64_t fused_count_leaf(FusedPipeline& fp,
   return sink.count();
 }
 
-// ---- the split-tree walk ---------------------------------------------
+// ---- driving the walk ------------------------------------------------
 
-/// Combine argument of split_tree for leaves that return nothing (DPS
-/// collect, for_each): the join is a true no-op.
-struct NoCombine {};
-
-/// What a leaf action returns (void for DPS collect and for_each).
-template <typename Leaf>
-using leaf_result_t =
-    std::invoke_result_t<const Leaf&, FusedPipeline&, observe::CpNode*>;
-
-template <typename Leaf, typename Combine>
-auto fork_parts(forkjoin::ForkJoinPool& pool, FusedPipeline* const* parts,
-                std::size_t n, std::uint64_t target, unsigned arity,
-                const Leaf& leaf, const Combine& combine, unsigned depth,
-                observe::CpNode* cp) -> leaf_result_t<Leaf>;
-
-/// THE split-tree walk: split `fp` until a chunk holds at most `target`
-/// elements or refuses to split, run `leaf(chunk, cp)` on every leaf, and
-/// on the way up fold sibling results with
-/// `combine(left, right, depth, cp)` (left is the encounter-order
-/// prefix). Leaves returning void take NoCombine. Above arity 2 each split
-/// first asks for `arity` parts (try_split_n) and falls back to the binary
-/// try_split when the source refuses; the binary parts stay on the stack.
-template <typename Leaf, typename Combine>
-auto split_tree(forkjoin::ForkJoinPool& pool, FusedPipeline& fp,
-                std::uint64_t target, unsigned arity, const Leaf& leaf,
-                const Combine& combine, unsigned depth, observe::CpNode* cp)
-    -> leaf_result_t<Leaf> {
-  if (fp.estimate_size() <= target) return leaf(fp, cp);
+/// The parts of one pipeline split, in encounter order: the prefixes the
+/// split carved off, then the split pipeline itself. A binary split holds
+/// its one prefix without a vector.
+struct PipelineParts {
   std::vector<std::unique_ptr<FusedPipeline>> prefixes;
   std::unique_ptr<FusedPipeline> prefix;
-  {
-    observe::Span span(observe::EventKind::kSplit, depth);
-    observe::CpScope phase(cp, observe::CpPhase::kSplit);
-    if (arity > 2) prefixes = fp.try_split_n(arity);
-    if (prefixes.empty()) prefix = fp.try_split();
+  FusedPipeline* rest = nullptr;
+
+  std::size_t size() const { return prefix ? 2 : prefixes.size() + 1; }
+  FusedPipeline* operator[](std::size_t k) const {
+    if (prefix) return k == 0 ? prefix.get() : rest;
+    return k < prefixes.size() ? prefixes[k].get() : rest;
   }
-  if (prefixes.empty() && !prefix) return leaf(fp, cp);
-  observe::local_counters().on_split(depth);
-  if (prefix) {
-    FusedPipeline* const parts[2] = {prefix.get(), &fp};
-    return fork_parts(pool, parts, 2, target, arity, leaf, combine, depth,
-                      cp);
-  }
-  std::vector<FusedPipeline*> parts;
-  parts.reserve(prefixes.size() + 1);
-  for (const auto& p : prefixes) parts.push_back(p.get());
-  parts.push_back(&fp);
-  return fork_parts(pool, parts.data(), parts.size(), target, arity, leaf,
-                    combine, depth, cp);
+};
+
+/// Split `fp` unless it holds at most `target` elements or refuses. Above
+/// arity 2 ask for `arity` parts (try_split_n) and fall back to the binary
+/// try_split when the source refuses.
+inline std::optional<PipelineParts> split_pipeline(FusedPipeline* fp,
+                                                   std::uint64_t target,
+                                                   unsigned arity) {
+  if (fp->estimate_size() <= target) return std::nullopt;
+  PipelineParts parts;
+  if (arity > 2) parts.prefixes = fp->try_split_n(arity);
+  if (parts.prefixes.empty()) parts.prefix = fp->try_split();
+  if (parts.prefixes.empty() && !parts.prefix) return std::nullopt;
+  parts.rest = fp;
+  return parts;
 }
 
-/// Fork the encounter-ordered parts of one split as a balanced binary
-/// tree: halve the list through invoke_two, walk each part one level
-/// deeper, and combine the halves' results at every internal node. For
-/// two parts this is exactly one fork and one combine; for n parts the
-/// n-1 combines run balanced rather than as a left fold, which the
-/// collector associativity law makes equal.
-template <typename Leaf, typename Combine>
-auto fork_parts(forkjoin::ForkJoinPool& pool, FusedPipeline* const* parts,
-                std::size_t n, std::uint64_t target, unsigned arity,
-                const Leaf& leaf, const Combine& combine, unsigned depth,
-                observe::CpNode* cp) -> leaf_result_t<Leaf> {
-  using R = leaf_result_t<Leaf>;
-  if (n == 1) {
-    return split_tree(pool, *parts[0], target, arity, leaf, combine,
-                      depth + 1, cp);
-  }
+/// Fold results [first, first + n) of one split pairwise and balanced —
+/// each half first, then the pair — with `combine(left, right, depth, cp)`.
+/// Two parts take exactly one combine; n parts take n-1, associated as a
+/// balanced tree, which the collector associativity law makes equal to a
+/// left fold.
+template <typename Results, typename Combine>
+auto fold_balanced(Results& results, std::size_t first, std::size_t n,
+                   const Combine& combine, unsigned depth, observe::CpNode* cp)
+    -> std::remove_cvref_t<decltype(results[first])> {
+  if (n == 1) return std::move(results[first]);
   const std::size_t mid = n / 2;
-  const auto [cl, cr] = observe::cp_fork(cp);
-  const auto half = [&](FusedPipeline* const* first, std::size_t count,
-                        observe::CpNode* node) {
-    return fork_parts(pool, first, count, target, arity, leaf, combine,
-                      depth, node);
-  };
-  if constexpr (std::is_void_v<R>) {
-    pool.invoke_two([&, cl = cl] { half(parts, mid, cl); },
-                    [&, cr = cr] { half(parts + mid, n - mid, cr); });
-  } else {
-    std::optional<R> left;
-    std::optional<R> right;
-    pool.invoke_two([&, cl = cl] { left.emplace(half(parts, mid, cl)); },
-                    [&, cr = cr] {
-                      right.emplace(half(parts + mid, n - mid, cr));
-                    });
-    return combine(std::move(*left), std::move(*right), depth, cp);
-  }
+  auto left = fold_balanced(results, first, mid, combine, depth, cp);
+  auto right = fold_balanced(results, first + mid, n - mid, combine, depth, cp);
+  return combine(std::move(left), std::move(right), depth, cp);
 }
 
 /// Run `leaf` over the whole pipeline as the plan says: one leaf on the
-/// calling thread when sequential, otherwise split_tree at the plan's
-/// grain inside the pool, feeding the profiled run back to the PlanCache.
-template <typename Leaf, typename Combine>
+/// calling thread when sequential, otherwise split_walk (streams/plan.hpp)
+/// at the plan's grain and arity inside the pool, feeding the profiled run
+/// back to the PlanCache. Sibling results fold with
+/// `combine(left, right, depth, cp)`, left being the encounter-order
+/// prefix; leaves returning void take no combine.
+template <typename Leaf, typename Combine = std::nullptr_t>
 auto drive_plan(FusedPipeline& fp, bool parallel, const ExecutionConfig& cfg,
                 const ExecutionPlan& plan, const Leaf& leaf,
-                const Combine& combine) {
+                const Combine& combine = nullptr) {
   if (!parallel) return leaf(fp, nullptr);
   auto& pool = cfg.effective_pool();
   observe::CpNode* cp = observe::cp_new_root();
   const auto walk = [&] {
-    return split_tree(pool, fp, plan.grain, plan.arity, leaf, combine, 0,
-                      cp);
+    return split_walk(
+        &pool, &fp, 0, cp,
+        [&](FusedPipeline* node) {
+          return split_pipeline(node, plan.grain, plan.arity);
+        },
+        [&](FusedPipeline* node, observe::CpNode* at) {
+          return leaf(*node, at);
+        },
+        [&](FusedPipeline*, auto& results, unsigned depth,
+            observe::CpNode* at) {
+          return fold_balanced(results, 0, results.size(), combine, depth,
+                               at);
+        });
   };
-  if constexpr (std::is_void_v<leaf_result_t<Leaf>>) {
+  if constexpr (std::is_void_v<decltype(leaf(fp, cp))>) {
     pool.run(walk);
     plan_feedback(plan, cp);
   } else {
@@ -518,8 +490,7 @@ typename C::result_type run_fused(FusedPipeline& fused,
           fused, parallel, cfg, plan,
           [&](FusedPipeline& fp, observe::CpNode* cp) {
             fused_collect_into_leaf<T>(fp, c, sink, root, cp);
-          },
-          NoCombine{});
+          });
       return c.finish_sized(std::move(sink));
     }
   }
@@ -565,8 +536,7 @@ void run_fused(FusedPipeline& fused, const terminals::ForEach<Fn>& term,
       fused, parallel, cfg, plan,
       [&](FusedPipeline& fp, observe::CpNode* cp) {
         fused_for_each_leaf<T>(fp, term.fn, cp);
-      },
-      NoCombine{});
+      });
 }
 
 template <typename T>
@@ -600,10 +570,12 @@ template <typename T, typename Pred>
 bool run_fused(FusedPipeline& fused, const terminals::AllMatch<Pred>& term,
                bool /*parallel*/, const ExecutionConfig& /*cfg*/,
                const ExecutionPlan& /*plan*/) {
-  bool ok = true;
-  AllMatchSink<T, Pred> sink(term.pred, ok);
+  // All match exactly when no element fails the predicate.
+  const auto fails = [&](const T& v) { return !term.pred(v); };
+  bool failed = false;
+  AnyMatchSink<T, decltype(fails)> sink(fails, failed);
   fused_short_circuit_drive<T>(fused, sink);
-  return ok;
+  return !failed;
 }
 
 template <typename T, typename Pred>

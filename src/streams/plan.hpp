@@ -27,16 +27,20 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "forkjoin/pool.hpp"
 #include "observe/config.hpp"
@@ -864,12 +868,12 @@ auto run_synthesized(std::uint64_t length, std::uint64_t leaf_size,
   return body();
 }
 
-/// Per-node instrumentation of the split-tree walks (the streams
-/// evaluator's and both skeleton executors'): a leaf over `length`
-/// elements runs `basic` under an accumulate span, the kLeafRun timer and
-/// the leaf counters; a combine at `depth` runs `combine` under a combine
-/// span, the kCombineRun timer and the combine counter. `cp` (nullptr for
-/// none) takes the critical-path phases. All inert under PLS_OBSERVE=0.
+/// Per-node instrumentation of split_walk's leaves and combines (below): a
+/// leaf over `length` elements runs `basic` under an accumulate span, the
+/// kLeafRun timer and the leaf counters; a combine at `depth` runs
+/// `combine` under a combine span, the kCombineRun timer and the combine
+/// counter. `cp` (nullptr for none) takes the critical-path phases. All
+/// inert under PLS_OBSERVE=0.
 ///
 /// `length` is the leaf's element count, or — for a leaf that learns it
 /// only by running, a stream count over a filtering chain — a callable
@@ -906,6 +910,74 @@ auto observed_combine(unsigned depth, observe::CpNode* cp, Fn&& combine) {
   observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
   observe::local_counters().on_combine();
   return combine();
+}
+
+/// THE split-tree walk, shared by the streams evaluator and every
+/// divide-and-conquer skeleton (PowerFunction, PListFunction, JPLF).
+/// `split(node)` returns std::nullopt for a leaf, which runs as
+/// `leaf(node, cp)`, or the node's two or more parts in encounter order:
+/// any value with `size()` and `operator[](k)` yielding part k's Node. A
+/// split node records the split (span, critical-path phase,
+/// `on_split(depth)`), forks its parts as a balanced binary tree —
+/// halving the list through `pool->invoke_two`, or inline, left first,
+/// when `pool` is null — walks each part at `depth + 1`, and hands the
+/// parts' results to `combine(node, results, depth, cp)`, where
+/// `results[k]` is part k's result. Leaves that return void have nothing
+/// to combine: `combine` is never called. A binary split keeps its result
+/// slots on the stack.
+template <typename Node, typename Split, typename Leaf, typename Combine>
+auto split_walk(forkjoin::ForkJoinPool* pool, const Node& node,
+                unsigned depth, observe::CpNode* cp, const Split& split,
+                const Leaf& leaf, const Combine& combine)
+    -> std::invoke_result_t<const Leaf&, const Node&, observe::CpNode*> {
+  using R = std::invoke_result_t<const Leaf&, const Node&, observe::CpNode*>;
+  auto parts = [&] {
+    observe::Span span(observe::EventKind::kSplit, depth);
+    observe::CpScope phase(cp, observe::CpPhase::kSplit);
+    auto p = split(node);
+    if (!p) {  // a leaf: nothing was split
+      span.discard();
+      phase.discard();
+    }
+    return p;
+  }();
+  if (!parts) return leaf(node, cp);
+  const std::size_t n = parts->size();
+  observe::local_counters().on_split(depth);
+  using Slot = std::optional<std::conditional_t<std::is_void_v<R>, bool, R>>;
+  Slot pair[2];
+  std::vector<Slot> many(n > 2 ? n : 0);
+  Slot* const slots = n > 2 ? many.data() : pair;
+  const auto fork = [&](const auto& self, std::size_t first, std::size_t count,
+                        observe::CpNode* at) -> void {
+    if (count == 1) {
+      if constexpr (std::is_void_v<R>) {
+        split_walk<Node>(pool, (*parts)[first], depth + 1, at, split, leaf,
+                         combine);
+      } else {
+        slots[first].emplace(split_walk<Node>(pool, (*parts)[first],
+                                              depth + 1, at, split, leaf,
+                                              combine));
+      }
+      return;
+    }
+    const std::size_t mid = count / 2;
+    const auto [cl, cr] = observe::cp_fork(at);
+    auto left = [&, cl = cl] { self(self, first, mid, cl); };
+    auto right = [&, cr = cr] { self(self, first + mid, count - mid, cr); };
+    if (pool != nullptr) {
+      pool->invoke_two(left, right);
+    } else {
+      left();
+      right();
+    }
+  };
+  fork(fork, 0, n, cp);
+  if constexpr (!std::is_void_v<R>) {
+    auto results = std::span<Slot>(slots, n) |
+                   std::views::transform([](Slot& r) -> R& { return *r; });
+    return combine(node, results, depth, cp);
+  }
 }
 
 /// Feed one profiled parallel run back into the PlanCache — called by

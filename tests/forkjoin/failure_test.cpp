@@ -3,16 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "forkjoin/parallel.hpp"
 #include "forkjoin/pool.hpp"
 #include "observe/critical_path.hpp"
+#include "observe/run_registry.hpp"
+#include "plist/functions.hpp"
+#include "plist/plist_view.hpp"
 #include "powerlist/algorithms/map_reduce.hpp"
 #include "powerlist/executors.hpp"
+#include "powerlist/jplf.hpp"
 #include "streams/stream.hpp"
 
 namespace {
@@ -37,6 +42,59 @@ struct LeafThrower final : pls::powerlist::PowerFunction<int, int> {
   }
 };
 
+/// Three-way PList sum whose basic case throws on any leaf starting above
+/// 100 (`in_leaf`) or whose combine_n throws at length 27 (otherwise).
+struct PListThrower final : pls::plist::PListFunction<int, int> {
+  explicit PListThrower(bool in_leaf) : in_leaf(in_leaf) {}
+
+  std::size_t arity(std::size_t) const override { return 3; }
+  int basic_case(pls::plist::PListView<const int> leaf,
+                 const pls::plist::NoContext&) const override {
+    if (in_leaf && leaf[0] > 100) throw Boom{};
+    int acc = 0;
+    for (std::size_t i = 0; i < leaf.length(); ++i) acc += leaf[i];
+    return acc;
+  }
+  int combine_n(std::vector<int>&& parts, const pls::plist::NoContext&,
+                std::size_t length) const override {
+    if (!in_leaf && length == 27) throw Boom{};
+    return std::accumulate(parts.begin(), parts.end(), 0);
+  }
+
+  bool in_leaf;
+};
+
+/// JPLF sum whose basic case throws on any leaf starting above 100.
+class JplfLeafThrower final
+    : public pls::powerlist::jplf::JplfPowerFunction<int, int> {
+ public:
+  int basic_case(
+      const pls::powerlist::jplf::BasePowerList<int>& list) override {
+    if (list.view()[0] > 100) throw Boom{};
+    return list.view()[0];
+  }
+  int combine(int l, int r) override { return l + r; }
+  std::unique_ptr<JplfPowerFunction> create_left_function() const override {
+    return std::make_unique<JplfLeafThrower>();
+  }
+  std::unique_ptr<JplfPowerFunction> create_right_function() const override {
+    return std::make_unique<JplfLeafThrower>();
+  }
+};
+
+/// The exception contract of a parallel entry point: `run` throws Boom out
+/// of it, the pool runs the next job, and the aborted run still appended
+/// exactly one RunRecord.
+template <typename Run>
+void expect_contained(ForkJoinPool& pool, const Run& run) {
+  const std::uint64_t before = pls::observe::RunRegistry::global().total();
+  EXPECT_THROW(run(), Boom);
+  if (pls::observe::kEnabled) {
+    EXPECT_EQ(pls::observe::RunRegistry::global().total() - before, 1u);
+  }
+  EXPECT_EQ(pool.run([] { return 3; }), 3);
+}
+
 TEST(Failure, PoolSurvivesRepeatedExceptions) {
   ForkJoinPool pool(4);
   for (int i = 0; i < 50; ++i) {
@@ -60,37 +118,6 @@ TEST(Failure, NestedForkExceptionUnwindsAllJoins) {
   EXPECT_THROW(pool.run([&] { recurse(recurse, 7); }), Boom);
   // All joins completed before the rethrow: the pool is healthy.
   EXPECT_EQ(pool.run([] { return 1; }), 1);
-}
-
-TEST(Failure, ParallelForPropagates) {
-  ForkJoinPool pool(4);
-  EXPECT_THROW(pls::forkjoin::parallel_for(pool, 0, 10000, 16,
-                                           [](int i) {
-                                             if (i == 7777) throw Boom{};
-                                           }),
-               Boom);
-}
-
-TEST(Failure, ParallelReducePropagatesFromLeaf) {
-  ForkJoinPool pool(4);
-  EXPECT_THROW(
-      pls::forkjoin::parallel_reduce(
-          pool, 0, 4096, 64, 0,
-          [](int lo, int) -> int {
-            if (lo >= 2048) throw Boom{};
-            return lo;
-          },
-          [](int a, int b) { return a + b; }),
-      Boom);
-}
-
-TEST(Failure, ParallelReducePropagatesFromCombine) {
-  ForkJoinPool pool(4);
-  EXPECT_THROW(pls::forkjoin::parallel_reduce(
-                   pool, 0, 4096, 64, 0,
-                   [](int lo, int hi) { return hi - lo; },
-                   [](int, int) -> int { throw Boom{}; }),
-               Boom);
 }
 
 TEST(Failure, StreamMapExceptionInParallelCollect) {
@@ -164,6 +191,40 @@ TEST(Failure, PowerFunctionCombineException) {
   EXPECT_THROW(pls::powerlist::execute_sequential(f, view, {}, 4), Boom);
   EXPECT_THROW(pls::powerlist::execute_forkjoin(pool, f, view, {}, 4), Boom);
   EXPECT_EQ(pool.run([] { return 3; }), 3);
+}
+
+TEST(Failure, PListBasicCaseException) {
+  ForkJoinPool pool(4);
+  const PListThrower f(/*in_leaf=*/true);
+  std::vector<int> data(243);
+  std::iota(data.begin(), data.end(), 0);
+  const auto view = pls::plist::PListView<const int>::over(data);
+  expect_contained(pool, [&] {
+    (void)pls::plist::execute_forkjoin(pool, f, view, {}, 9);
+  });
+}
+
+TEST(Failure, PListCombineException) {
+  ForkJoinPool pool(4);
+  const PListThrower f(/*in_leaf=*/false);
+  std::vector<int> data(243);
+  std::iota(data.begin(), data.end(), 0);
+  const auto view = pls::plist::PListView<const int>::over(data);
+  EXPECT_THROW((void)pls::plist::execute_sequential(f, view, {}, 9), Boom);
+  expect_contained(pool, [&] {
+    (void)pls::plist::execute_forkjoin(pool, f, view, {}, 9);
+  });
+}
+
+TEST(Failure, JplfBasicCaseException) {
+  ForkJoinPool pool(4);
+  std::vector<int> data(256);
+  std::iota(data.begin(), data.end(), 0);
+  const pls::powerlist::jplf::TiePowerList<int> list(
+      pls::powerlist::view_of(std::as_const(data)));
+  JplfLeafThrower f;
+  EXPECT_THROW((void)f.compute(list), Boom);
+  expect_contained(pool, [&] { (void)f.compute_parallel(pool, list); });
 }
 
 TEST(Failure, ProfiledRunThatThrowsLeavesRecorderDisabled) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "observe/critical_path.hpp"
 #include "plist/functions.hpp"
 #include "plist/multiway_spliterator.hpp"
 #include "plist/plist_view.hpp"
@@ -153,6 +154,21 @@ TEST(PListFunctions, NWayReduceForkJoin) {
   const auto view = PListView<const int>::over(data);
   NWayReduce<int, std::plus<int>> sum{std::plus<int>{}, 3};
   EXPECT_EQ(execute_forkjoin(pool, sum, view, {}, 9), 243 * 244 / 2);
+}
+
+TEST(PListFunctions, ForkJoinRecordsItsCriticalPathTree) {
+  // The fork-join walk hands every node its critical-path node: a
+  // profiled run sees all 27 leaves of 9 and every element.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  ForkJoinPool pool(2);
+  const auto data = iota(243, 1);
+  const auto view = PListView<const int>::over(data);
+  NWayReduce<int, std::plus<int>> sum{std::plus<int>{}, 3};
+  pls::observe::ProfileSession profile;
+  EXPECT_EQ(execute_forkjoin(pool, sum, view, {}, 9), 243 * 244 / 2);
+  const auto stats = profile.stats();
+  EXPECT_EQ(stats.leaves, 27u);
+  EXPECT_EQ(stats.elements, 243u);
 }
 
 TEST(PListFunctions, NWayMapTieAndZipPreserveOrder) {

@@ -8,6 +8,7 @@
 
 #include <numeric>
 
+#include "observe/critical_path.hpp"
 #include "powerlist/algorithms/polynomial.hpp"
 #include "support/rng.hpp"
 
@@ -147,6 +148,22 @@ TEST(Jplf, ParallelSumLargeTree) {
   JplfSum sum(64);
   EXPECT_EQ(sum.compute_parallel(pool, list),
             (long{1} << 14) * ((long{1} << 14) - 1) / 2);
+}
+
+TEST(Jplf, ParallelComputeRecordsItsCriticalPathTree) {
+  // compute_parallel runs on the shared walk: a profiled run sees all 32
+  // leaves of 8 and every element.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  ForkJoinPool pool(2);
+  std::vector<long> data(256);
+  std::iota(data.begin(), data.end(), 0);
+  TiePowerList<long> list(view_of(data));
+  JplfSum sum(8);
+  pls::observe::ProfileSession profile;
+  EXPECT_EQ(sum.compute_parallel(pool, list), 255L * 256 / 2);
+  const auto stats = profile.stats();
+  EXPECT_EQ(stats.leaves, 32u);
+  EXPECT_EQ(stats.elements, 256u);
 }
 
 TEST(Jplf, AgreesWithIdiomaticPowerFunction) {

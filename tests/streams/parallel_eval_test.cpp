@@ -141,6 +141,38 @@ TEST(ParallelEval, EveryLeafRecordsOneAccumulateSpan) {
   rec.clear();
 }
 
+TEST(ParallelEval, ShortCircuitLeafCountsWhatItAccepted) {
+  // A short-circuit terminal runs one observed element-mode leaf, which
+  // reports the elements its terminal sink accepted: 0..4000 here.
+  if (!pls::observe::kEnabled) GTEST_SKIP() << "observability compiled out";
+  using pls::observe::EventKind;
+  using pls::observe::TraceRecorder;
+  ForkJoinPool pool(3);
+  auto& rec = TraceRecorder::global();
+  rec.disable();
+  rec.clear();
+  const auto before = pls::observe::aggregate_counters();
+  rec.enable();
+  const bool found =
+      Stream<long>::range(0, 4096).parallel().via(pool).any_match(
+          [](long v) { return v == 4000; });
+  rec.disable();
+  const auto delta = pls::observe::aggregate_counters() - before;
+  EXPECT_TRUE(found);
+  std::uint64_t spans = 0;
+  std::uint64_t span_elements = 0;
+  for (const auto& e : rec.events()) {
+    if (e.kind != EventKind::kAccumulate) continue;
+    ++spans;
+    span_elements += e.arg;
+  }
+  EXPECT_EQ(spans, 1u);
+  EXPECT_EQ(span_elements, 4001u);
+  EXPECT_EQ(delta.leaf_chunks, 1u);
+  EXPECT_EQ(delta.elements_accumulated, 4001u);
+  rec.clear();
+}
+
 TEST(ParallelEval, ExplicitPoolIsUsed) {
   ForkJoinPool pool(3);
   const auto sum = Stream<long>::range(0, 100000)
