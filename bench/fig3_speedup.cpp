@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
 
     // One profiled parallel run: the critical-path recorder mirrors the
     // split tree (work T1, span T∞, phase attribution), and the latency
-    // histograms are reset first so their quantiles describe this size
+    // histograms are read as a delta so their quantiles describe this run
     // only. Both are no-ops with PLS_OBSERVE=0.
-    pls::observe::HistogramRegistry::global().reset();
+    const auto hist_before = pls::observe::aggregate_histograms();
     auto& cp_recorder = pls::observe::CriticalPathRecorder::global();
     cp_recorder.clear();
     cp_recorder.enable();
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     const double prof_wall_ms = prof_sw.elapsed_ms();
     cp_recorder.disable();
     const auto cp = cp_recorder.analyze();
-    const auto hist = pls::observe::aggregate_histograms();
+    const auto hist = pls::observe::aggregate_histograms() - hist_before;
     cp_recorder.clear();
 
     // The split tree of the timed parallel runs, as their plan built it:

@@ -45,7 +45,7 @@
 #include "forkjoin/pool.hpp"
 #include "observe/critical_path.hpp"
 #include "observe/export.hpp"
-#include "observe/histogram.hpp"
+#include "observe/counters.hpp"
 #include "observe/sampler.hpp"
 #include "powerlist/collector_functions.hpp"
 #include "streams/static_fusion.hpp"
@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
 
     // One profiled parallel run per size for the measured critical path
     // and latency histograms (no-op with PLS_OBSERVE=0).
-    pls::observe::HistogramRegistry::global().reset();
+    const auto hist_before = pls::observe::aggregate_histograms();
     auto& cp_recorder = pls::observe::CriticalPathRecorder::global();
     cp_recorder.clear();
     cp_recorder.enable();
@@ -259,7 +259,7 @@ int main(int argc, char** argv) {
     const double prof_wall_ms = prof_sw.elapsed_ms();
     cp_recorder.disable();
     const auto cp = cp_recorder.analyze();
-    const auto hist = pls::observe::aggregate_histograms();
+    const auto hist = pls::observe::aggregate_histograms() - hist_before;
     cp_recorder.clear();
 
     table.add_row({std::to_string(lg), std::to_string(n),

@@ -65,25 +65,18 @@ ForkJoinPool& ForkJoinPool::common() {
 
 void ForkJoinPool::worker_loop(unsigned index) {
   Worker& self = *workers_[index];
-  // Claim the observability block before publishing the worker via TLS, so
-  // every counting site below (and in invoke_two/join) sees it non-null.
-  self.counters.store(&observe::local_counters(), std::memory_order_release);
-  observe::CounterRegistry::global().set_local_label(
+  // Claim the observe slot before publishing the worker via TLS, so every
+  // recording site below (and in invoke_two/join) sees it non-null.
+  self.slot.store(&observe::local_slot(), std::memory_order_release);
+  observe::SlotRegistry::global().set_local_label(
       "fj-worker-" + std::to_string(index));
   tls_worker_ = &self;
   tls_pool_ = this;
   while (true) {
     RawTask* task = find_task(self);
     if (task != nullptr) {
-      // Counted at dispatch: execute() publishes completion (promise /
-      // done flag), so counting afterwards would let a waiter observe the
-      // result before the counter moved.
-      self.own_counters()->on_task_executed();
-      {
-        observe::Span task_span(observe::EventKind::kTask);
-        observe::LatencyTimer run_timer(observe::Metric::kTaskRun);
-        task->execute();
-      }
+      observe::Span task_span(observe::EventKind::kTask);
+      run_counted(self, task);
       continue;
     }
     if (shutdown_.load(std::memory_order_acquire)) break;
@@ -100,12 +93,8 @@ void ForkJoinPool::worker_loop(unsigned index) {
     RawTask* late = find_task(self);
     if (late != nullptr) {
       sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-      self.own_counters()->on_task_executed();
-      {
-        observe::Span task_span(observe::EventKind::kTask);
-        observe::LatencyTimer run_timer(observe::Metric::kTaskRun);
-        late->execute();
-      }
+      observe::Span task_span(observe::EventKind::kTask);
+      run_counted(self, late);
       continue;
     }
     {
@@ -161,7 +150,7 @@ void ForkJoinPool::append_pool_metrics(observe::MetricsSample& sample,
 
 RawTask* ForkJoinPool::find_task(Worker& self) {
   if constexpr (observe::kEnabled) {
-    observe::local_histograms().record(observe::Metric::kQueueDepth,
+    self.own_slot()->histograms.record(observe::Metric::kQueueDepth,
                                        self.deque.size());
   }
   if (RawTask* own = self.deque.pop()) return own;
@@ -183,9 +172,9 @@ RawTask* ForkJoinPool::try_steal(Worker& self) {
     if (victim == self.index) continue;
     if (RawTask* stolen = workers_[victim]->deque.steal()) {
       steals_.fetch_add(1, std::memory_order_relaxed);
-      self.own_counters()->on_steal(true);
+      self.own_slot()->counters.on_steal(true);
       if constexpr (observe::kEnabled) {
-        observe::local_histograms().record(
+        self.own_slot()->histograms.record(
             observe::Metric::kStealLatency,
             observe::now_ticks() - sweep_start);
       }
@@ -197,7 +186,7 @@ RawTask* ForkJoinPool::try_steal(Worker& self) {
   // worker is starved, so both the pool tally and the per-worker block use
   // relaxed, thread-local increments.
   steal_failures_.fetch_add(1, std::memory_order_relaxed);
-  self.own_counters()->on_steal(false);
+  self.own_slot()->counters.on_steal(false);
   return nullptr;
 }
 

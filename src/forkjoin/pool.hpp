@@ -12,6 +12,12 @@
 //     executing other tasks until the thief finishes it.
 //   - External threads enter through run(), which injects a heap task and
 //     blocks on a future; all recursive parallelism then happens on workers.
+//   - Each worker claims its observe slot (observe/counters.hpp) at thread
+//     start and caches the pointer: its counters and its task-run,
+//     queue-depth and steal-latency histograms are recorded through it,
+//     with no thread-local lookup per task. The slot returns to the
+//     registry, its counts folded into the retired totals, when the
+//     worker exits.
 //
 // Following CP.4 the API is expressed in tasks (closures), never threads;
 // workers are joined in the destructor (CP.25/CP.26: no detached threads).
@@ -135,7 +141,7 @@ class ForkJoinPool {
     using RightFn = std::remove_reference_t<FR>;
     ChildTask<RightFn> child(right);
     self->deque.push(&child);
-    self->own_counters()->on_fork();
+    self->own_slot()->counters.on_fork();
     observe::instant(observe::EventKind::kFork);
     wake_one_if_sleeping();
     // The child lives on this frame: even if `left` throws we must join it
@@ -203,8 +209,8 @@ class ForkJoinPool {
   observe::CounterTotals counter_totals() const {
     observe::CounterTotals t;
     for (const auto& w : workers_) {
-      const auto* cb = w->counters.load(std::memory_order_acquire);
-      if (cb != nullptr) t += cb->snapshot();
+      const auto* slot = w->slot.load(std::memory_order_acquire);
+      if (slot != nullptr) t += slot->counters.snapshot();
     }
     return t;
   }
@@ -231,9 +237,9 @@ class ForkJoinPool {
     std::vector<observe::CounterTotals> out;
     out.reserve(workers_.size());
     for (const auto& w : workers_) {
-      const auto* cb = w->counters.load(std::memory_order_acquire);
-      out.push_back(cb != nullptr ? cb->snapshot()
-                                  : observe::CounterTotals{});
+      const auto* slot = w->slot.load(std::memory_order_acquire);
+      out.push_back(slot != nullptr ? slot->counters.snapshot()
+                                    : observe::CounterTotals{});
     }
     return out;
   }
@@ -245,15 +251,18 @@ class ForkJoinPool {
     unsigned index;
     WorkStealingDeque deque;
     Xoshiro256 rng;
-    /// This worker's observability block (published at thread start,
-    /// before any task can run on the worker; stable for the pool's
-    /// lifetime). Atomic because counter_totals() reads it from other
-    /// threads while the worker may still be starting up. The owning
-    /// worker reads its own store, so relaxed suffices on counting paths.
-    std::atomic<observe::CounterBlock*> counters{nullptr};
+    /// This worker thread's observe slot, counters and histograms
+    /// (published at thread start, before any task can run on the
+    /// worker; stable for the pool's lifetime). Every count and histogram
+    /// record the pool makes for this worker goes through it, with no
+    /// thread-local lookup. Atomic because counter_totals() reads it from
+    /// other threads while the worker may still be starting up. The
+    /// owning worker reads its own store, so relaxed suffices on
+    /// recording paths.
+    std::atomic<observe::ObserveSlot*> slot{nullptr};
 
-    observe::CounterBlock* own_counters() const noexcept {
-      return counters.load(std::memory_order_relaxed);
+    observe::ObserveSlot* own_slot() const noexcept {
+      return slot.load(std::memory_order_relaxed);
     }
   };
 
@@ -301,6 +310,18 @@ class ForkJoinPool {
   void append_pool_metrics(observe::MetricsSample& sample,
                            unsigned ordinal) const;
 
+  /// Run `task` on `self`, counted and timed into the worker's slot.
+  /// Counted at dispatch: execute() publishes completion (promise / done
+  /// flag), so counting afterwards would let a waiter observe the result
+  /// before the counter moved.
+  static void run_counted(Worker& self, RawTask* task) {
+    observe::ObserveSlot& slot = *self.own_slot();
+    slot.counters.on_task_executed();
+    observe::LatencyTimer run_timer(slot.histograms,
+                                    observe::Metric::kTaskRun);
+    task->execute();
+  }
+
   /// Find runnable work: own deque, then injection queue, then steal sweep.
   RawTask* find_task(Worker& self);
 
@@ -317,24 +338,18 @@ class ForkJoinPool {
     // Fast path: the child is still on top of our own deque.
     if (!target.is_done()) {
       if constexpr (observe::kEnabled) {
-        observe::local_histograms().record(observe::Metric::kQueueDepth,
+        self.own_slot()->histograms.record(observe::Metric::kQueueDepth,
                                            self.deque.size());
       }
       RawTask* popped = self.deque.pop();
       if (popped == &target) {
-        // Counted before execute(): completion is published inside
-        // execute(), and waiters must not see it before the counter moved.
-        self.own_counters()->on_task_executed();
-        observe::LatencyTimer run_timer(observe::Metric::kTaskRun);
-        popped->execute();
+        run_counted(self, popped);
         return;
       }
       if (popped != nullptr) {
         // Defensive: structured fork-join keeps the deque balanced, but if
         // user code escaped the discipline, still make progress.
-        self.own_counters()->on_task_executed();
-        observe::LatencyTimer run_timer(observe::Metric::kTaskRun);
-        popped->execute();
+        run_counted(self, popped);
       }
     }
     // Slow path: the child was stolen; help run the rest of the system.
@@ -342,10 +357,8 @@ class ForkJoinPool {
     while (!target.is_done()) {
       RawTask* t = find_task(self);
       if (t != nullptr) {
-        self.own_counters()->on_task_executed();
         observe::Span task_span(observe::EventKind::kTask);
-        observe::LatencyTimer run_timer(observe::Metric::kTaskRun);
-        t->execute();
+        run_counted(self, t);
         idle_spins = 0;
       } else if (++idle_spins > 64) {
         std::this_thread::yield();

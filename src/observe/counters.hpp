@@ -2,11 +2,14 @@
 //
 // Every thread that participates in an execution (fork-join workers,
 // external submitters, the thread driving a sequential leaf) owns one
-// CounterBlock, obtained via local_counters(). Blocks are single-writer
-// (the owning thread) and many-reader (aggregation), so all updates are
-// relaxed atomic RMWs on a line nobody else writes — the increment costs
-// one uncontended `lock add` and never bounces a cache line between
-// workers. Aggregation walks the registry and sums snapshots on demand.
+// observe slot: its CounterBlock (local_counters()), its HistogramBlock
+// (local_histograms(), observe/histogram.hpp) and its label. This file's
+// SlotRegistry is the one registry that leases those slots and recycles
+// them when threads exit. Blocks are single-writer (the owning thread)
+// and many-reader (aggregation), so all updates are relaxed atomic RMWs
+// on a line nobody else writes — the increment costs one uncontended
+// `lock add` and never bounces a cache line between workers. Aggregation
+// walks the registry and sums snapshots on demand.
 //
 // What is counted (see docs/observability.md for the full schema):
 //   tasks_executed        fork-join tasks run by this worker (incl. helping)
@@ -36,11 +39,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "observe/config.hpp"
+#include "observe/histogram.hpp"
 #include "support/align.hpp"
 
 namespace pls::observe {
@@ -120,7 +125,7 @@ inline CounterTotals operator-(CounterTotals a, const CounterTotals& b) {
   return a;
 }
 
-/// One worker's labelled totals, as returned by CounterRegistry::per_worker.
+/// One worker's labelled totals, as returned by SlotRegistry::per_worker.
 struct WorkerCounters {
   std::string label;
   CounterTotals totals;
@@ -207,127 +212,150 @@ struct alignas(kCacheLineSize) CounterBlock {
   std::atomic<std::uint64_t> fields_[kCounterFieldCount] = {};
 };
 
-/// Process-wide registry of per-thread counter blocks. A thread claims a
-/// slot on first use and holds it until it exits; then its counts fold
-/// into the retired total and the slot, zeroed, goes back on a free list.
-/// So aggregate() stays monotone across thread exits, and no two live
-/// threads share a block until more than kMaxSlots are alive at once
-/// (the overflow threads then count into one shared block: still
-/// correct, it is atomic, merely unattributed). Per-worker rows of a slot
-/// recycled between two snapshots do not diff meaningfully; totals do.
-class CounterRegistry {
+/// One thread's observe storage: its counters, its histograms and the
+/// label per_worker() reports. Allocated when a thread first claims it,
+/// recycled (zeroed) when that thread exits.
+struct ObserveSlot {
+  CounterBlock counters;
+  HistogramBlock histograms;
+  std::string label;  ///< guarded by the registry mutex
+};
+
+/// Process-wide registry of per-thread observe slots. A thread claims a
+/// slot on first use and holds it until it exits; then its counts and
+/// histograms fold into the retired totals and the slot, zeroed, goes
+/// back on a free list. So every aggregate stays monotone across thread
+/// exits, the registry holds one slot per thread alive at once at the
+/// peak (not one per thread that ever lived), and no two live threads
+/// share a slot until more than kMaxSlots are alive at once (the overflow
+/// threads then record into one shared slot: still correct, it is
+/// atomic, merely unattributed). Per-worker rows of a slot recycled
+/// between two snapshots do not diff meaningfully; totals do.
+class SlotRegistry {
  public:
   static constexpr std::size_t kMaxSlots = 1024;
 
   /// Never destroyed: worker threads of static pools exit, and release
   /// their slots, during static destruction.
-  static CounterRegistry& global() {
-    static CounterRegistry* const r = new CounterRegistry;
+  static SlotRegistry& global() {
+    static SlotRegistry* const r = new SlotRegistry;
     return *r;
   }
 
-  /// The calling thread's block (claims a slot on first call).
-  CounterBlock& local() {
-    if (tls_block_ == nullptr) tls_block_ = &claim_slot();
-    return *tls_block_;
+  /// The calling thread's slot (claims one on first call).
+  ObserveSlot& local() {
+    if (tls_slot_ == nullptr) tls_slot_ = &claim_slot();
+    return *tls_slot_;
   }
 
   /// Attach a human-readable label ("fj-worker-3", ...) to the calling
   /// thread's slot. Off the hot path; guarded by a mutex.
   void set_local_label(std::string label) {
-    CounterBlock& block = local();
-    if (&block == &shared_) return;
+    ObserveSlot& slot = local();
+    if (&slot == &shared_) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    labels_[static_cast<std::size_t>(&block - slots_)] = std::move(label);
+    slot.label = std::move(label);
   }
 
-  /// Sum of every block plus the counts of threads that have exited.
-  CounterTotals aggregate() const {
+  /// Counter sum of every slot plus the counts of threads that have exited.
+  CounterTotals aggregate_counters() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    CounterTotals t = retired_;
-    t += shared_.snapshot();
-    for (std::size_t i = 0; i < high_water_; ++i) t += slots_[i].snapshot();
+    CounterTotals t = retired_counters_;
+    t += shared_.counters.snapshot();
+    for (const auto& slot : slots_) t += slot->counters.snapshot();
     return t;
   }
 
-  /// Per-slot snapshots with labels, for every slot ever claimed (threads
-  /// register lazily, so never-used slots do not appear; free slots show
-  /// zeros).
+  /// Metric `m`'s histogram summed the same way (one metric read per
+  /// slot, not the whole block).
+  HistogramSnapshot aggregate_histogram(Metric m) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    HistogramSnapshot s = retired_histograms_.of(m);
+    s += shared_.histograms.snapshot(m);
+    for (const auto& slot : slots_) s += slot->histograms.snapshot(m);
+    return s;
+  }
+
+  /// Per-slot counter snapshots with labels, in slot order (free slots
+  /// show zeros).
   std::vector<WorkerCounters> per_worker() const {
     std::vector<WorkerCounters> out;
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < high_water_; ++i) {
-      WorkerCounters w{labels_[i], slots_[i].snapshot()};
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      WorkerCounters w{slots_[i]->label, slots_[i]->counters.snapshot()};
       if (w.label.empty()) w.label = "thread-" + std::to_string(i);
       out.push_back(std::move(w));
     }
     return out;
   }
 
-  /// Zero every block and the retired total. Only meaningful while the
-  /// system is quiescent; prefer snapshot deltas (operator-) for scoped
-  /// measurements.
+  /// Zero every slot and the retired totals. Only meaningful while the
+  /// system is quiescent; prefer snapshot deltas for scoped measurements.
   void reset() {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t i = 0; i < high_water_; ++i) slots_[i].reset();
-    shared_.reset();
-    retired_ = {};
+    for (const auto& slot : slots_) zero(*slot);
+    zero(shared_);
+    retired_counters_ = {};
+    retired_histograms_ = {};
   }
 
  private:
   /// Held by each thread that owns a slot; returns it when the thread
   /// exits (thread_local destruction).
   struct SlotLease {
-    CounterBlock* block = nullptr;
+    ObserveSlot* slot = nullptr;
     ~SlotLease() {
-      if (block != nullptr) CounterRegistry::global().release(*block);
+      if (slot != nullptr) SlotRegistry::global().release(*slot);
     }
   };
 
-  CounterRegistry() = default;
+  SlotRegistry() = default;
 
-  CounterBlock& claim_slot() {
+  static void zero(ObserveSlot& slot) noexcept {
+    slot.counters.reset();
+    slot.histograms.reset();
+  }
+
+  ObserveSlot& claim_slot() {
     thread_local SlotLease lease;
     std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t i;
     if (!free_.empty()) {
-      i = free_.back();
+      lease.slot = free_.back();
       free_.pop_back();
-    } else if (high_water_ < kMaxSlots) {
-      i = high_water_++;
+    } else if (slots_.size() < kMaxSlots) {
+      lease.slot = slots_.emplace_back(std::make_unique<ObserveSlot>()).get();
     } else {
       return shared_;
     }
-    lease.block = &slots_[i];
-    return slots_[i];
+    return *lease.slot;
   }
 
-  /// Runs on the exiting thread: fold its counts into the retired total
-  /// under the same lock aggregate() takes, so no reader sees them twice
-  /// or not at all. Anything the thread counts afterwards (later
-  /// thread_local destructors) lands in the shared block.
-  void release(CounterBlock& block) {
-    tls_block_ = &shared_;
+  /// Runs on the exiting thread: fold its counts and histograms into the
+  /// retired totals under the same lock every aggregate takes, so no
+  /// reader sees them twice or not at all. Anything the thread records
+  /// afterwards (later thread_local destructors) lands in the shared slot.
+  void release(ObserveSlot& slot) {
+    tls_slot_ = &shared_;
     std::lock_guard<std::mutex> lock(mutex_);
-    retired_ += block.snapshot();
-    block.reset();
-    const auto i = static_cast<std::size_t>(&block - slots_);
-    labels_[i].clear();
-    free_.push_back(i);
+    retired_counters_ += slot.counters.snapshot();
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      retired_histograms_.metric[i] +=
+          slot.histograms.snapshot(static_cast<Metric>(i));
+    }
+    zero(slot);
+    slot.label.clear();
+    free_.push_back(&slot);
   }
 
-  CounterBlock slots_[kMaxSlots];
-  CounterBlock shared_;
   mutable std::mutex mutex_;
-  std::size_t high_water_ = 0;
-  std::vector<std::size_t> free_;
-  CounterTotals retired_;
-  std::string labels_[kMaxSlots];
+  std::vector<std::unique_ptr<ObserveSlot>> slots_;
+  std::vector<ObserveSlot*> free_;
+  ObserveSlot shared_;
+  CounterTotals retired_counters_;
+  HistogramSetSnapshot retired_histograms_;
 
-  static thread_local CounterBlock* tls_block_;
+  static inline thread_local ObserveSlot* tls_slot_ = nullptr;
 };
-
-inline thread_local CounterBlock* CounterRegistry::tls_block_ = nullptr;
 
 #else  // !PLS_OBSERVE — the whole layer is a no-op shell.
 
@@ -345,33 +373,58 @@ struct CounterBlock {
   void reset() noexcept {}
 };
 
-class CounterRegistry {
+/// Empty in this mode: the blocks are static, stateless members.
+struct ObserveSlot {
+  static inline CounterBlock counters;
+  static inline HistogramBlock histograms;
+};
+
+class SlotRegistry {
  public:
   static constexpr std::size_t kMaxSlots = 0;
-  static CounterRegistry& global() {
-    static CounterRegistry r;
+  static SlotRegistry& global() {
+    static SlotRegistry r;
     return r;
   }
-  CounterBlock& local() noexcept { return block_; }
+  ObserveSlot& local() noexcept {
+    static ObserveSlot slot;
+    return slot;
+  }
   void set_local_label(std::string) {}
-  CounterTotals aggregate() const { return {}; }
+  CounterTotals aggregate_counters() const { return {}; }
+  HistogramSnapshot aggregate_histogram(Metric) const { return {}; }
   std::vector<WorkerCounters> per_worker() const { return {}; }
   void reset() {}
-
- private:
-  CounterBlock block_;
 };
 
 #endif  // PLS_OBSERVE
 
+/// The calling thread's observe slot.
+inline ObserveSlot& local_slot() { return SlotRegistry::global().local(); }
+
 /// The calling thread's counter block.
-inline CounterBlock& local_counters() {
-  return CounterRegistry::global().local();
-}
+inline CounterBlock& local_counters() { return local_slot().counters; }
+
+/// The calling thread's histogram block.
+inline HistogramBlock& local_histograms() { return local_slot().histograms; }
 
 /// Snapshot of the process-wide totals (zero when compiled out).
 inline CounterTotals aggregate_counters() {
-  return CounterRegistry::global().aggregate();
+  return SlotRegistry::global().aggregate_counters();
+}
+
+/// Process-wide histogram of one metric (zero when compiled out).
+inline HistogramSnapshot aggregate_histogram(Metric m) {
+  return SlotRegistry::global().aggregate_histogram(m);
+}
+
+/// Snapshot of the process-wide per-metric histograms.
+inline HistogramSetSnapshot aggregate_histograms() {
+  HistogramSetSnapshot s;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    s.metric[i] = aggregate_histogram(static_cast<Metric>(i));
+  }
+  return s;
 }
 
 /// Full registry capture for scoped delta measurement:
@@ -379,8 +432,8 @@ inline CounterTotals aggregate_counters() {
 ///   run();
 ///   auto delta = counter_snapshot() - before;
 inline CounterSnapshot counter_snapshot() {
-  CounterRegistry& r = CounterRegistry::global();
-  return CounterSnapshot{r.aggregate(), r.per_worker()};
+  SlotRegistry& r = SlotRegistry::global();
+  return CounterSnapshot{r.aggregate_counters(), r.per_worker()};
 }
 
 }  // namespace pls::observe

@@ -8,7 +8,8 @@
 // pay one uncontended RMW and never bounce a cache line.
 //
 // Every participating thread owns one HistogramBlock holding one
-// Histogram per Metric:
+// Histogram per Metric, in its observe slot next to its CounterBlock
+// (observe/counters.hpp: one SlotRegistry leases and recycles both):
 //   kTaskRun       fork-join task execution time          (ticks)
 //   kStealLatency  duration of a successful steal sweep   (ticks)
 //   kQueueDepth    own-deque depth observed at pop        (tasks)
@@ -184,6 +185,15 @@ struct HistogramSetSnapshot {
   const HistogramSnapshot& of(Metric m) const noexcept {
     return metric[static_cast<std::size_t>(m)];
   }
+
+  /// Metric-wise snapshot delta (`after - before`).
+  friend HistogramSetSnapshot operator-(
+      HistogramSetSnapshot a, const HistogramSetSnapshot& b) noexcept {
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      a.metric[i] = a.metric[i] - b.metric[i];
+    }
+    return a;
+  }
 };
 
 #if PLS_OBSERVE
@@ -236,86 +246,28 @@ struct alignas(kCacheLineSize) HistogramBlock {
     metric[static_cast<std::size_t>(m)].record(v);
   }
 
+  HistogramSnapshot snapshot(Metric m) const noexcept {
+    return metric[static_cast<std::size_t>(m)].snapshot();
+  }
+
   void reset() noexcept {
     for (auto& h : metric) h.reset();
   }
 };
 
-/// Process-wide registry of per-thread histogram blocks; same slot
-/// discipline as CounterRegistry (slots claimed on first use, never
-/// recycled, overflow shares slot 0).
-class HistogramRegistry {
- public:
-  static constexpr std::size_t kMaxSlots = 256;
-
-  static HistogramRegistry& global() {
-    static HistogramRegistry r;
-    return r;
-  }
-
-  HistogramBlock& local() {
-    if (tls_block_ == nullptr) tls_block_ = &claim_slot();
-    return *tls_block_;
-  }
-
-  /// Metric `m`'s histogram summed over every slot (one metric read per
-  /// slot, not the whole block).
-  HistogramSnapshot aggregate(Metric m) const {
-    HistogramSnapshot s;
-    const std::size_t n = used_slots();
-    for (std::size_t i = 0; i < n; ++i) {
-      s += slots_[i].metric[static_cast<std::size_t>(m)].snapshot();
-    }
-    return s;
-  }
-
-  HistogramSetSnapshot aggregate() const {
-    HistogramSetSnapshot s;
-    for (std::size_t i = 0; i < kMetricCount; ++i) {
-      s.metric[i] = aggregate(static_cast<Metric>(i));
-    }
-    return s;
-  }
-
-  /// Zero every block; only meaningful while the system is quiescent.
-  void reset() {
-    const std::size_t n = used_slots();
-    for (std::size_t i = 0; i < n; ++i) slots_[i].reset();
-  }
-
- private:
-  HistogramRegistry() = default;
-
-  std::size_t used_slots() const noexcept {
-    const std::size_t n = next_slot_.load(std::memory_order_acquire);
-    return n < kMaxSlots ? n : kMaxSlots;
-  }
-
-  HistogramBlock& claim_slot() {
-    const std::size_t i = next_slot_.fetch_add(1, std::memory_order_acq_rel);
-    return i < kMaxSlots ? slots_[i] : slots_[0];
-  }
-
-  HistogramBlock slots_[kMaxSlots];
-  std::atomic<std::size_t> next_slot_{0};
-
-  static thread_local HistogramBlock* tls_block_;
-};
-
-inline thread_local HistogramBlock* HistogramRegistry::tls_block_ = nullptr;
-
-/// RAII phase timer: records elapsed ticks into the local block's
-/// histogram for `m` on destruction.
+/// RAII phase timer: records elapsed ticks into `block`'s histogram for
+/// `m` on destruction. `block` is the running thread's own:
+/// local_histograms(), or the histograms of a slot the caller cached.
 class LatencyTimer {
  public:
-  explicit LatencyTimer(Metric m) noexcept : m_(m), start_(now_ticks()) {}
+  LatencyTimer(HistogramBlock& block, Metric m) noexcept
+      : block_(block), m_(m), start_(now_ticks()) {}
   LatencyTimer(const LatencyTimer&) = delete;
   LatencyTimer& operator=(const LatencyTimer&) = delete;
-  ~LatencyTimer() {
-    HistogramRegistry::global().local().record(m_, now_ticks() - start_);
-  }
+  ~LatencyTimer() { block_.record(m_, now_ticks() - start_); }
 
  private:
+  HistogramBlock& block_;
   Metric m_;
   std::uint64_t start_;
 };
@@ -331,42 +283,16 @@ class Histogram {
 
 struct HistogramBlock {
   void record(Metric, std::uint64_t) noexcept {}
+  HistogramSnapshot snapshot(Metric) const noexcept { return {}; }
   void reset() noexcept {}
 };
 
-class HistogramRegistry {
- public:
-  static constexpr std::size_t kMaxSlots = 0;
-  static HistogramRegistry& global() {
-    static HistogramRegistry r;
-    return r;
-  }
-  HistogramBlock& local() noexcept { return block_; }
-  HistogramSnapshot aggregate(Metric) const { return {}; }
-  HistogramSetSnapshot aggregate() const { return {}; }
-  void reset() {}
-
- private:
-  HistogramBlock block_;
-};
-
 struct LatencyTimer {
-  explicit LatencyTimer(Metric) noexcept {}
+  LatencyTimer(HistogramBlock&, Metric) noexcept {}
   LatencyTimer(const LatencyTimer&) = delete;
   LatencyTimer& operator=(const LatencyTimer&) = delete;
 };
 
 #endif  // PLS_OBSERVE
-
-/// The calling thread's histogram block.
-inline HistogramBlock& local_histograms() {
-  return HistogramRegistry::global().local();
-}
-
-/// Snapshot of the process-wide per-metric histograms (zero when compiled
-/// out).
-inline HistogramSetSnapshot aggregate_histograms() {
-  return HistogramRegistry::global().aggregate();
-}
 
 }  // namespace pls::observe

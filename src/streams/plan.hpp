@@ -476,8 +476,7 @@ struct PlanProfile {
 /// The process-wide leaf-run latency histogram. Reads only kLeafRun of
 /// each slot: every metric of every slot costs microseconds per read.
 inline observe::HistogramSnapshot leaf_run_histogram() {
-  return observe::HistogramRegistry::global().aggregate(
-      observe::Metric::kLeafRun);
+  return observe::aggregate_histogram(observe::Metric::kLeafRun);
 }
 
 namespace detail {
@@ -884,6 +883,7 @@ auto observed_leaf(Length length, observe::CpNode* cp, Fn&& basic) {
     Length& length;
     observe::CpNode* cp;
     observe::Span& span;
+    observe::CounterBlock& counters;
     ~Report() {
       std::uint64_t n = 0;
       if constexpr (std::is_invocable_v<Length&>) {
@@ -893,13 +893,14 @@ auto observed_leaf(Length length, observe::CpNode* cp, Fn&& basic) {
       }
       span.set_arg(n);
       observe::cp_add_elements(cp, n);
-      observe::local_counters().on_leaf(n);
+      counters.on_leaf(n);
     }
   };
+  observe::ObserveSlot& slot = observe::local_slot();
   observe::Span span(observe::EventKind::kAccumulate);
   observe::CpScope phase(cp, observe::CpPhase::kAccumulate);
-  observe::LatencyTimer leaf_timer(observe::Metric::kLeafRun);
-  const Report report{length, cp, span};
+  observe::LatencyTimer leaf_timer(slot.histograms, observe::Metric::kLeafRun);
+  const Report report{length, cp, span, slot.counters};
   return basic();
 }
 
@@ -907,8 +908,10 @@ template <typename Fn>
 auto observed_combine(unsigned depth, observe::CpNode* cp, Fn&& combine) {
   observe::Span span(observe::EventKind::kCombine, depth);
   observe::CpScope phase(cp, observe::CpPhase::kCombine);
-  observe::LatencyTimer combine_timer(observe::Metric::kCombineRun);
-  observe::local_counters().on_combine();
+  observe::ObserveSlot& slot = observe::local_slot();
+  observe::LatencyTimer combine_timer(slot.histograms,
+                                      observe::Metric::kCombineRun);
+  slot.counters.on_combine();
   return combine();
 }
 

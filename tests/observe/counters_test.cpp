@@ -1,5 +1,6 @@
-// Counter blocks and registry: single-thread semantics, cross-thread
-// aggregation, and the fork-join pool's per-worker steal accounting.
+// Counter blocks and the slot registry: single-thread semantics,
+// cross-thread aggregation, slot recycling across thread churn, and the
+// fork-join pool's per-worker steal accounting.
 #include "observe/counters.hpp"
 
 #include <gtest/gtest.h>
@@ -142,10 +143,44 @@ TEST(Counters, RegistryLabelsWorkers) {
   pls::forkjoin::ForkJoinPool pool(2);
   pool.run([] { return 0; });
   bool found_worker_label = false;
-  for (const auto& w : pls::observe::CounterRegistry::global().per_worker()) {
+  for (const auto& w : pls::observe::SlotRegistry::global().per_worker()) {
     if (w.label.rfind("fj-worker-", 0) == 0) found_worker_label = true;
   }
   EXPECT_TRUE(found_worker_label);
+}
+
+TEST(Histograms, SlotsRecycleAcrossThreadChurn) {
+  if (!kEnabled) GTEST_SKIP() << "observability compiled out";
+  using pls::observe::HistogramBlock;
+  using pls::observe::Metric;
+  const auto task_runs = [] {
+    return pls::observe::aggregate_histograms().of(Metric::kTaskRun).total;
+  };
+  const HistogramBlock* const main_block = &pls::observe::local_histograms();
+  const std::uint64_t before = task_runs();
+  std::uint64_t last = before;
+  int on_main_block = 0;
+  int on_used_block = 0;
+  // One short-lived thread at a time: each must get a clean slot of its
+  // own, whatever the slot limit, because exited threads return theirs.
+  for (int i = 0; i < 300; ++i) {
+    const HistogramBlock* block = nullptr;
+    std::uint64_t block_total = 0;
+    std::thread t([&] {
+      block = &pls::observe::local_histograms();
+      pls::observe::local_histograms().record(Metric::kTaskRun, 1000);
+      block_total = block->snapshot(Metric::kTaskRun).total;
+    });
+    t.join();
+    if (block == main_block) ++on_main_block;
+    if (block_total != 1) ++on_used_block;  // a block someone recorded into
+    const std::uint64_t now = task_runs();
+    EXPECT_GE(now, last) << "aggregate fell across the exit of thread " << i;
+    last = now;
+  }
+  EXPECT_EQ(on_main_block, 0);
+  EXPECT_EQ(on_used_block, 0);
+  EXPECT_EQ(last - before, 300u);
 }
 
 }  // namespace

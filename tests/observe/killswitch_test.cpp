@@ -37,6 +37,7 @@ static_assert(std::is_empty_v<Span>);
 static_assert(std::is_empty_v<pls::observe::CounterBlock>);
 static_assert(std::is_empty_v<pls::observe::Histogram>);
 static_assert(std::is_empty_v<pls::observe::HistogramBlock>);
+static_assert(std::is_empty_v<pls::observe::ObserveSlot>);
 static_assert(std::is_empty_v<pls::observe::CpScope>);
 static_assert(std::is_empty_v<pls::observe::LatencyTimer>);
 static_assert(std::is_empty_v<pls::observe::TraceSession>);
@@ -66,7 +67,7 @@ TEST(KillSwitch, CountersAreInert) {
 
   const CounterTotals agg = pls::observe::aggregate_counters();
   EXPECT_EQ(agg.tasks_executed, 0u);
-  EXPECT_TRUE(pls::observe::CounterRegistry::global().per_worker().empty());
+  EXPECT_TRUE(pls::observe::SlotRegistry::global().per_worker().empty());
 }
 
 TEST(KillSwitch, RecorderCannotBeEnabled) {
@@ -112,7 +113,7 @@ TEST(KillSwitch, HistogramsAreInert) {
   auto& block = pls::observe::local_histograms();
   block.record(pls::observe::Metric::kTaskRun, 1000);
   {
-    pls::observe::LatencyTimer t(pls::observe::Metric::kStealLatency);
+    pls::observe::LatencyTimer t(block, pls::observe::Metric::kStealLatency);
   }
   const auto agg = pls::observe::aggregate_histograms();
   for (std::size_t i = 0; i < pls::observe::kMetricCount; ++i) {

@@ -188,7 +188,7 @@ TEST(Facade, PListForkJoinIsOneRecordedRun) {
   cfg.parallelism = 2;
   // max_split_depth is a process-wide high-water mark: start from zero so
   // the record shows this run's depth.
-  pls::observe::CounterRegistry::global().reset();
+  pls::observe::SlotRegistry::global().reset();
   pls::run(cfg, [&](pls::session& s) {
     EXPECT_EQ(pls::plist::execute_forkjoin(s.pool(), sum, view, {}, 9),
               243 * 244 / 2);
